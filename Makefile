@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench bench-full bench-check examples figures lint lint-ci typecheck clean
+.PHONY: install test coverage bench bench-full bench-check perfbench examples figures lint lint-ci typecheck clean
 
 install:
 	pip install -e .[dev]
@@ -56,6 +56,18 @@ bench-check:
 	$(PYTHON) tools/check_bench.py --baseline .bench_baseline \
 		--fresh $$(ls -t benchmarks/results/BENCH_*_arena.json | head -1)
 	rm -rf .bench_baseline
+
+# Layered benchmark (BENCHMARK.json): its self-test, then one replay
+# round per workload that must reproduce the summaries and eviction
+# digests pinned in perfbench/expected.json (the CI perf job runs the
+# same steps).
+perfbench:
+	$(PYTHON) -m pytest perfbench -q
+	for w in write-gc read-hot shard-cache-only; do \
+		last="$$($(PYTHON) perfbench/run.py --workload $$w --seconds 0 --trace 0 | tail -n 1)"; \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct": true'*) ;; *) exit 1 ;; esac; \
+	done
 
 # Full paper-scale regeneration (hours of compute).
 bench-full:

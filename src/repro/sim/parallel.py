@@ -43,13 +43,14 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.metrics import ReplayMetrics, merge_metrics
 from repro.sim.progress import EtaTracker, ProgressCallback
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
+from repro.traces.io import trace_columns, trace_from_columns
 from repro.traces.model import Trace
 
 __all__ = [
@@ -370,11 +371,11 @@ def _check_shardable(config: ReplayConfig) -> None:
 
 
 def _replay_segment(
-    payload: Tuple[str, Tuple, ReplayConfig, ShardSpec, bool],
+    payload: Tuple[str, Dict[str, np.ndarray], ReplayConfig, ShardSpec, bool],
 ) -> ReplayMetrics:
     """Worker: replay one trace segment on a fresh cache/device."""
-    name, requests, config, spec, cache_only = payload
-    trace = Trace(name, requests)
+    name, columns, config, spec, cache_only = payload
+    trace = trace_from_columns(name, columns)
     shard_config = replace(config, fault_seed=spec.seed)
     runner = replay_cache_only if cache_only else replay_trace
     return runner(trace, shard_config)
@@ -434,10 +435,13 @@ def replay_sharded(
     if n_shards is None:
         n_shards = resolve_jobs(jobs, len(trace))
     plan = plan_segments(len(trace), n_shards, config.fault_seed)
+    # Segments travel as the four ``.npz`` columns (repro.traces.io):
+    # pickling them costs a few buffer copies, where a tuple of request
+    # objects costs a reduce/rebuild per request in each direction.
     payloads = [
         (
             f"{trace.name}[{s.start}:{s.stop}]",
-            tuple(trace.requests[s.start : s.stop]),
+            trace_columns(trace.requests[s.start : s.stop]),
             config,
             s,
             cache_only,

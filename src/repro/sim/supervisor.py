@@ -446,8 +446,11 @@ def run_shards_supervised(
         if progress:
             progress(tracker.event("resumed", index, 0))
 
+    # First attempts are ready now: a real clock reading, since the
+    # monotonic clock's origin is arbitrary.
+    start = time.monotonic()
     pending = [
-        _Attempt(index=i, attempt=1, ready_at=0.0)
+        _Attempt(index=i, attempt=1, ready_at=start)
         for i in range(n)
         if i not in completed
     ]

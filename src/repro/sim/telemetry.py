@@ -199,13 +199,16 @@ class LiveTelemetry:
         self.heartbeat_s = heartbeat_s
         self.latest: Dict[int, TelemetryFrame] = {}
         self.frames_seen = 0
-        self._last_print = 0.0
+        # None = never printed.  The monotonic clock's origin is
+        # arbitrary (boot time on Linux), so a 0.0 start would suppress
+        # the first frame whenever the clock reads below heartbeat_s.
+        self._last_print: Optional[float] = None
 
     def __call__(self, frame: TelemetryFrame) -> None:
         self.latest[frame.shard] = frame
         self.frames_seen += 1
         now = time.monotonic()
-        if now - self._last_print >= self.heartbeat_s:
+        if self._last_print is None or now - self._last_print >= self.heartbeat_s:
             self._last_print = now
             self.render()
 

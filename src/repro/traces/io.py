@@ -1,10 +1,16 @@
-"""Fast binary trace storage (numpy ``.npz``).
+"""Fast binary trace storage (numpy ``.npz``) and its columnar codec.
 
 Regenerating a scaled workload takes ~1 s, but a full-length paper
 workload (4.2 M requests for proj_0) takes tens of seconds per run —
 and full-scale sweeps replay each trace dozens of times.  This module
 round-trips any :class:`Trace` through a compact columnar ``.npz``
 (four aligned arrays: time, op, lpn, npages), loading in milliseconds.
+
+The same four columns are the in-memory wire format of a trace:
+:func:`trace_columns` / :func:`trace_from_columns` convert requests to
+and from them, and :func:`repro.sim.parallel.replay_sharded` ships each
+segment to its worker that way (four array buffers pickle in
+microseconds; tens of thousands of request objects do not).
 
 ``cached_workload`` wraps the named paper workloads with a disk cache
 keyed by (name, scale).
@@ -13,7 +19,7 @@ keyed by (name, scale).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
+from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -21,35 +27,63 @@ from repro.traces.model import IORequest, OpType, Trace
 from repro.traces.workloads import get_config
 from repro.traces.synthetic import generate_trace
 
-__all__ = ["save_trace", "load_trace", "cached_workload"]
+__all__ = [
+    "save_trace",
+    "load_trace",
+    "cached_workload",
+    "trace_columns",
+    "trace_from_columns",
+]
 
 PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
 
 
+def trace_columns(requests: Sequence[IORequest]) -> Dict[str, np.ndarray]:
+    """The four aligned columns of ``requests``, keyed as in the ``.npz``.
+
+    ``time`` float64, ``op`` uint8 (1 = write), ``lpn`` int64 and
+    ``npages`` int32.
+    """
+    write = OpType.WRITE
+    return {
+        "time": np.array([r.time for r in requests], dtype=np.float64),
+        "op": np.array([r.op is write for r in requests], dtype=np.uint8),
+        "lpn": np.array([r.lpn for r in requests], dtype=np.int64),
+        "npages": np.array([r.npages for r in requests], dtype=np.int32),
+    }
+
+
+def trace_from_columns(name: str, columns: Mapping[str, np.ndarray]) -> Trace:
+    """Rebuild the trace :func:`trace_columns` (or ``.npz``) described.
+
+    Columns convert with ``tolist`` so every request carries Python
+    scalars, and each request goes through the normal constructor, so
+    field validation and the trace's sort check run as for any trace.
+    """
+    read, write = OpType.READ, OpType.WRITE
+    requests = [
+        IORequest(time, write if op else read, lpn, npages)
+        for time, op, lpn, npages in zip(
+            columns["time"].tolist(),
+            columns["op"].tolist(),
+            columns["lpn"].tolist(),
+            columns["npages"].tolist(),
+        )
+    ]
+    return Trace(name, requests)
+
+
 def save_trace(trace: Trace, path: PathLike) -> None:
     """Write ``trace`` to ``path`` as a compressed ``.npz``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(trace)
-    times = np.empty(n, dtype=np.float64)
-    ops = np.empty(n, dtype=np.uint8)
-    lpns = np.empty(n, dtype=np.int64)
-    npages = np.empty(n, dtype=np.int32)
-    for i, r in enumerate(trace):
-        times[i] = r.time
-        ops[i] = 1 if r.is_write else 0
-        lpns[i] = r.lpn
-        npages[i] = r.npages
     np.savez_compressed(
         path,
         version=np.int32(_FORMAT_VERSION),
         name=np.str_(trace.name),
-        time=times,
-        op=ops,
-        lpn=lpns,
-        npages=npages,
+        **trace_columns(trace.requests),
     )
 
 
@@ -63,21 +97,7 @@ def load_trace(path: PathLike) -> Trace:
                 f"{path}: unsupported trace format version {version} "
                 f"(expected {_FORMAT_VERSION})"
             )
-        name = str(data["name"])
-        times = data["time"]
-        ops = data["op"]
-        lpns = data["lpn"]
-        npages = data["npages"]
-    requests = [
-        IORequest(
-            time=float(times[i]),
-            op=OpType.WRITE if ops[i] else OpType.READ,
-            lpn=int(lpns[i]),
-            npages=int(npages[i]),
-        )
-        for i in range(len(times))
-    ]
-    return Trace(name, requests)
+        return trace_from_columns(str(data["name"]), data)
 
 
 def cached_workload(

@@ -28,8 +28,9 @@ __all__ = [
 _GAP_MS = 0.5
 
 
-def _times(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.float64) * _GAP_MS
+def _times(n: int) -> List[float]:
+    # Python floats, not numpy scalars: simulated time is a plain float.
+    return (np.arange(n, dtype=np.float64) * _GAP_MS).tolist()
 
 
 def sequential_writes(

@@ -236,8 +236,11 @@ class SyntheticTraceGenerator:
         stream_pick = rng.integers(0, cfg.n_streams, size=n)
         recent_pick = rng.integers(0, 1 << 30, size=n)
 
-        # Arrival process: bursts of geometric length.
-        times = self._arrival_times(rng, n)
+        # Arrival process: bursts of geometric length.  ``tolist`` hands
+        # the simulator Python floats: a numpy.float64 request clock
+        # would turn every timing-model and metrics update into numpy
+        # scalar arithmetic and pickle through numpy's scalar reduce.
+        times = self._arrival_times(rng, n).tolist()
 
         hot_base = 0
         large_base = cfg.hot_span_pages

@@ -17,13 +17,16 @@ from repro.sim import parallel
 from repro.sim.parallel import (
     derive_shard_seed,
     plan_segments,
+    replay_sharded,
     resolve_jobs,
     resolve_start_method,
     run_shards,
     shard_trace,
 )
+from repro.sim.replay import ReplayConfig
 from repro.sim.sweep import SweepJob, run_jobs
 from repro.traces.model import IORequest, OpType, Trace
+from repro.traces.workloads import get_workload
 
 BOTH_START_METHODS = pytest.mark.parametrize(
     "start_method",
@@ -113,6 +116,35 @@ class TestRunShards:
         inline = run_shards(_double, payloads, jobs=1)
         pooled = run_shards(_double, payloads, jobs=2, start_method=start_method)
         assert pooled == inline
+
+
+class TestReplayShardedStartMethods:
+    """Segments ship to workers as trace columns.  Rebuilt in forked
+    workers or in spawned ones (a fresh interpreter that re-imports
+    numpy and the package), the merged replay matches the inline one
+    byte for byte."""
+
+    @BOTH_START_METHODS
+    @pytest.mark.parametrize("cache_only", [True, False], ids=["cache_only", "full"])
+    def test_identical_to_inline(self, start_method, cache_only):
+        trace = get_workload("ts_0", 1 / 256)
+        config = ReplayConfig(
+            policy="reqblock", cache_bytes=64 * 4096, digest_evictions=True
+        )
+        inline = replay_sharded(
+            trace, config, n_shards=4, jobs=1, cache_only=cache_only
+        )
+        pooled = replay_sharded(
+            trace,
+            config,
+            n_shards=4,
+            jobs=2,
+            start_method=start_method,
+            cache_only=cache_only,
+        )
+        assert inline.eviction_digest
+        assert pooled.summary() == inline.summary()
+        assert pooled.eviction_digest == inline.eviction_digest
 
 
 class TestPlanSegments:

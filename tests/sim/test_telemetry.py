@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import io
+from types import SimpleNamespace
 
+from repro.sim import telemetry
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.sim.telemetry import (
     DEFAULT_FRAME_INTERVAL_S,
@@ -120,13 +122,20 @@ class TestLiveTelemetry:
         assert lines[0].startswith("[live] shard 0")
         assert lines[1].startswith("[live] shard 1")
 
-    def test_heartbeat_rate_limits_rendering(self):
+    def test_heartbeat_rate_limits_rendering(self, monkeypatch):
+        # A clock reading far below the heartbeat, as on a freshly
+        # booted machine: the first frame must still print.
+        clock = SimpleNamespace(monotonic=lambda: 5.0)
+        monkeypatch.setattr(telemetry, "time", clock)
         stream = io.StringIO()
         live = LiveTelemetry(stream=stream, heartbeat_s=3600.0)
         for i in range(5):
             live(_frame(shard=0, requests=i))
-        # First frame printed (last_print starts at 0), rest suppressed.
+        # First frame printed, the rest suppressed by the heartbeat.
         assert len(stream.getvalue().splitlines()) == 1
+        clock.monotonic = lambda: 5.0 + 3600.0
+        live(_frame(shard=0, requests=5))
+        assert len(stream.getvalue().splitlines()) == 2
 
     def test_format_with_and_without_total(self):
         line = LiveTelemetry.format_frame(_frame(requests=500, total=1000))

@@ -6,7 +6,8 @@ injected failure:
 
 * **program failure** — the allocated page is burned
   (:meth:`FlashArray.mark_program_failed`), the block's surviving valid
-  pages are rescued via GC-style relocation, and the block retires
+  pages are rescued by :meth:`PageFTL.migrate_block` (the loop GC
+  uses), and the block retires
   through the :class:`~repro.faults.badblocks.BadBlockManager` (drawing
   a spare while any remain).  The caller retries on a fresh block.
 * **erase failure** — the GC victim (already fully migrated) retires
@@ -229,12 +230,13 @@ class FaultInjector:
         self._suspended = True
         try:
             flash.detach_write_point(block)
-            t = now
-            for ppn in flash.valid_pages_of_block(block):
-                op = ftl.resources.schedule_read(plane, t)
-                op = ftl.relocate(ppn, plane, op.end)
-                t = op.end
-                self.rescued_pages += 1
+            # One program per rescued page, counted from the program
+            # sequence so a migration that raises part-way still tallies.
+            programs_before = flash.total_programs
+            try:
+                t = ftl.migrate_block(block, plane, now)
+            finally:
+                self.rescued_pages += flash.total_programs - programs_before
             assert self.bad_blocks is not None
             self.bad_blocks.retire(block, t, reason)
             return t

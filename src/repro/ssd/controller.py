@@ -18,8 +18,11 @@ array.  Service semantics (see DESIGN.md §5):
   unless the batch is pinned (``FlushBatch.pin_key``, BPLRU), in which
   case every page programs into one plane and the batch serialises on
   that plane's chip and channel;
-* garbage collection runs inside ``write_page`` when a plane crosses
-  the free-space threshold, occupying that chip's timeline.
+* garbage collection runs inside the FTL's host write path
+  (``PageFTL.write_batch``, or ``write_page`` on the per-page paths)
+  when a program leaves its plane below the free-space threshold; the
+  victim's valid pages move through ``PageFTL.migrate_block`` (the loop
+  the bad-block rescue shares), occupying that plane's timeline.
 """
 
 from __future__ import annotations

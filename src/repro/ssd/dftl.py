@@ -163,16 +163,21 @@ class CachedMappingFTL(PageFTL):
         return super().read_page(lpn, ready)
 
     # GC relocations update mappings in place; real DFTL batches these
-    # updates per victim block, so we dirty the translation page without
+    # updates per victim block, so we dirty the translation pages without
     # charging a lookup.
-    def relocate(self, ppn: int, plane: int, now: float) -> OpTimes:
-        """GC relocation; dirties the mapping's translation page."""
-        lpn = self.rmap_lookup(ppn)
-        if lpn is not None:
-            entry = self._cmt.get(self._tvpn_of(lpn))
-            if entry is not None:
-                entry.dirty = True
-        return super().relocate(ppn, plane, now)
+    def migrate_block(self, block: int, plane: int, now: float) -> float:
+        """Block migration; dirties the cached translation page of every
+        live LPN in ``block`` first (relocation never touches the CMT,
+        so marking up front ends in the same state as marking per page),
+        then migrates as PageFTL does."""
+        cmt = self._cmt
+        for ppn in self.flash.valid_pages_of_block(block):
+            lpn = self.rmap_lookup(ppn)
+            if lpn is not None:
+                entry = cmt.get(self._tvpn_of(lpn))
+                if entry is not None:
+                    entry.dirty = True
+        return super().migrate_block(block, plane, now)
 
     # ------------------------------------------------------------------
     def on_power_loss(self) -> None:

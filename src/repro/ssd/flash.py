@@ -288,8 +288,8 @@ class FlashArray:
         if self.block_is_active(block_index):
             raise ValueError(f"refusing to erase active block {block_index}")
         base = self.geometry.first_ppn_of_block(block_index)
-        for off in range(self.write_ptr[block_index]):
-            self.page_state[base + off] = PageState.FREE
+        written = self.write_ptr[block_index]
+        self.page_state[base : base + written] = bytes(written)  # FREE is 0
         self.write_ptr[block_index] = 0
         self.last_program_seq[block_index] = self.total_programs
         self.erase_count[block_index] += 1

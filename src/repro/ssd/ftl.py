@@ -77,7 +77,6 @@ class PageFTL:
         "_rr",
         "_ppb",
         "_gc_thr",
-        "_res_plain",
     )
 
     def __init__(
@@ -91,6 +90,14 @@ class PageFTL:
         faults: "FaultInjector | None" = None,
         profiler: "PhaseProfiler | None" = None,
     ) -> None:
+        # The write and migration loops inline ResourceTimelines'
+        # scheduling arithmetic, so any other timelines class (a
+        # subclass, or the event-driven cross-check scheduler) would be
+        # silently bypassed.
+        if type(resources) is not ResourceTimelines:
+            raise TypeError(
+                f"PageFTL needs ResourceTimelines, got {type(resources).__name__}"
+            )
         self.config = config
         self.geometry = geometry
         self.flash = flash
@@ -134,10 +141,6 @@ class PageFTL:
         # free-block threshold as plain ints.
         self._ppb = config.pages_per_block
         self._gc_thr = gc._thr_blocks
-        # The program-scheduling inline below reproduces exactly
-        # ``ResourceTimelines.schedule_program``; subclasses (the
-        # event-driven timelines) must keep going through the method.
-        self._res_plain = type(resources) is ResourceTimelines
 
     # ------------------------------------------------------------------
     # Queries
@@ -259,29 +262,25 @@ class PageFTL:
             ptr = write_ptr[block]
         ppn = block * ppb + ptr
         write_ptr[block] = ptr + 1
+        # Inlined ResourceTimelines.schedule_program (same statements,
+        # same order — see that method's docstring for the timing shape).
         res = self.resources
-        if self._res_plain:
-            # Inlined ResourceTimelines.schedule_program (same
-            # statements, same order — see that method's docstring for
-            # the timing shape).
-            channel = res._chan_of[target_plane]
-            bus_free = res.bus_free
-            plane_free = res.plane_free
-            xfer = res._xfer
-            prog_ms = res._prog_ms
-            busy = bus_free[channel]
-            start = now if now > busy else busy
-            xfer_end = start + xfer
-            busy = plane_free[target_plane]
-            prog_start = xfer_end if xfer_end > busy else busy
-            end = prog_start + prog_ms
-            bus_free[channel] = xfer_end
-            plane_free[target_plane] = end
-            res.bus_busy_ms[channel] += xfer
-            res.plane_busy_ms[target_plane] += prog_ms
-            op = OpTimes(start, xfer_end, end)
-        else:
-            op = res.schedule_program(target_plane, now)
+        channel = res._chan_of[target_plane]
+        bus_free = res.bus_free
+        plane_free = res.plane_free
+        xfer = res._xfer
+        prog_ms = res._prog_ms
+        busy = bus_free[channel]
+        start = now if now > busy else busy
+        xfer_end = start + xfer
+        busy = plane_free[target_plane]
+        prog_start = xfer_end if xfer_end > busy else busy
+        end = prog_start + prog_ms
+        bus_free[channel] = xfer_end
+        plane_free[target_plane] = end
+        res.bus_busy_ms[channel] += xfer
+        res.plane_busy_ms[target_plane] += prog_ms
+        op = OpTimes(start, xfer_end, end)
         m = self._map
         if lpn >= len(m):
             m.extend([-1] * (lpn + 1 - len(m)))
@@ -333,14 +332,13 @@ class PageFTL:
         the number of pages to account, and the ``FlashOutOfSpace`` that
         stopped the batch (None when it completed).
 
-        With fault injection enabled, non-plain resource timelines or an
-        attached tracer the method degrades to the per-page calls,
-        keeping the injected / event-driven / observed slow paths
-        authoritative (a tracer's invariant checker validates at every
-        ``FlashWrite``, so the counters it reads must be synced
-        per page, not per batch).
+        With fault injection enabled or a tracer attached the method
+        degrades to the per-page calls, keeping the injected and
+        observed slow paths authoritative (a tracer's invariant checker
+        validates at every ``FlashWrite``, so the counters it reads must
+        be synced per page, not per batch).
         """
-        if self.faults.enabled or not self._res_plain or self.tracer.enabled:
+        if self.faults.enabled or self.tracer.enabled:
             xfer_done = now
             done = 0
             n_pl = len(planes) if planes else 0
@@ -530,28 +528,120 @@ class PageFTL:
     # ------------------------------------------------------------------
     # GC support
     # ------------------------------------------------------------------
-    def relocate(self, ppn: int, plane: int, now: float) -> OpTimes:
-        """Move the live page at ``ppn`` into ``plane``'s active block.
+    def migrate_block(self, block: int, plane: int, now: float) -> float:
+        """Relocate every valid page of ``block``; returns the end time.
 
-        Called only by the garbage collector, with the victim block's
-        pages; never triggers nested GC.
+        The one migration loop: garbage collection and the bad-block
+        rescue both call it.  Pages move in offset order.  Each is read
+        out of ``block`` and then programmed into ``plane``'s GC write
+        point: the GC stream's active block under
+        ``gc_stream_separation``, the host active block otherwise.  Both
+        operations are scheduled on ``plane``, the read from the
+        previous page's program end (``now`` for the first page), the
+        program from the read's end; the return value is the last
+        program's end, or ``now`` when no page was valid.
+
+        The ``ResourceTimelines.schedule_read`` / ``schedule_program``
+        arithmetic and the ``FlashArray`` allocate/invalidate/program
+        bookkeeping are inlined (same float operations, same order),
+        keeping their guards: a valid page with no live LPN raises
+        ``ValueError``, as does programming a page that is not FREE, and
+        a free-list block must be erased.  ``block`` must not be a write
+        point; migration never triggers nested GC.
         """
-        lpn = self.rmap_lookup(ppn)
-        if lpn is None:
-            raise ValueError(f"relocate: ppn {ppn} holds no live LPN")
-        self.flash.invalidate(ppn)
-        if self._rmap_list:
-            self._rmap[ppn] = -1
+        flash = self.flash
+        res = self.resources
+        ppb = self._ppb
+        page_state = flash.page_state
+        valid_count = flash.valid_count
+        write_ptr = flash.write_ptr
+        last_seq = flash.last_program_seq
+        pop_free = flash._pop_free_block
+        # The GC stream shares the host active block unless separated.
+        if self.config.gc_stream_separation:
+            write_points = flash.gc_active_block
         else:
-            del self._rmap[ppn]
-        new_ppn = self.flash.allocate_page(plane, stream="gc")
-        op = self.resources.schedule_program(plane, now)
-        self.flash.program(new_ppn)
-        self._map[lpn] = new_ppn
-        self._rmap[new_ppn] = lpn
-        if self.tracer.enabled:
-            self.tracer.emit(GcMigrate(now, lpn, ppn, new_ppn, plane))
-        return op
+            write_points = flash.active_block
+        m = self._map
+        rmap = self._rmap
+        rmap_list = self._rmap_list
+        tracer = self.tracer
+        traced = tracer.enabled
+        xfer = res._xfer
+        read_ms = res._read_ms
+        prog_ms = res._prog_ms
+        # Only this plane and its channel are touched, and nothing reads
+        # the timelines mid-migration: keep them in locals and store
+        # them back once (also when a guard raises part-way).
+        channel = res._chan_of[plane]
+        bus_t = res.bus_free[channel]
+        plane_t = res.plane_free[plane]
+        bus_busy = res.bus_busy_ms[channel]
+        plane_busy = res.plane_busy_ms[plane]
+        seq = flash.total_programs
+        t = now
+        base = block * ppb
+        try:
+            for ppn in range(base, base + write_ptr[block]):
+                if page_state[ppn] != 1:  # PageState.VALID
+                    continue
+                # Read out of the victim (ResourceTimelines.schedule_read).
+                cell_start = t if t > plane_t else plane_t
+                cell_end = cell_start + read_ms
+                xfer_start = cell_end if cell_end > bus_t else bus_t
+                t = bus_t = plane_t = xfer_start + xfer
+                bus_busy += xfer
+                plane_busy += t - cell_start
+                read_end = t
+                # Drop the old copy.
+                lpn = rmap[ppn] if rmap_list else rmap.get(ppn, -1)
+                if lpn < 0:
+                    raise ValueError(f"migrate_block: ppn {ppn} holds no live LPN")
+                if rmap_list:
+                    rmap[ppn] = -1
+                else:
+                    del rmap[ppn]
+                page_state[ppn] = 2  # PageState.INVALID
+                valid_count[block] -= 1
+                # Allocate in the GC write point (FlashArray.allocate_page).
+                dst = write_points[plane]
+                if dst is None:
+                    dst = pop_free(plane)
+                    write_points[plane] = dst
+                ptr = write_ptr[dst]
+                if ptr >= ppb:
+                    dst = pop_free(plane)
+                    write_points[plane] = dst
+                    ptr = write_ptr[dst]
+                    assert ptr == 0, "free-list block was not erased"
+                new_ppn = dst * ppb + ptr
+                write_ptr[dst] = ptr + 1
+                # Program it (ResourceTimelines.schedule_program).  The
+                # read left the bus and the plane free at t, so the
+                # transfer starts at t and the cell program right after.
+                bus_t = t + xfer
+                t = plane_t = bus_t + prog_ms
+                bus_busy += xfer
+                plane_busy += prog_ms
+                # FlashArray.program, then the new mapping.
+                if page_state[new_ppn] != 0:  # PageState.FREE
+                    raise ValueError(f"ppn {new_ppn} programmed twice without erase")
+                page_state[new_ppn] = 1  # PageState.VALID
+                valid_count[dst] += 1
+                seq += 1
+                last_seq[dst] = seq
+                m[lpn] = new_ppn
+                rmap[new_ppn] = lpn
+                if traced:
+                    flash.total_programs = seq
+                    tracer.emit(GcMigrate(read_end, lpn, ppn, new_ppn, plane))
+        finally:
+            res.bus_free[channel] = bus_t
+            res.plane_free[plane] = plane_t
+            res.bus_busy_ms[channel] = bus_busy
+            res.plane_busy_ms[plane] = plane_busy
+            flash.total_programs = seq
+        return t
 
     # ------------------------------------------------------------------
     # Power-loss recovery (see repro.faults.powerloss)

@@ -15,7 +15,9 @@ ratio recovers to ``gc_low_watermark``.  Two victim policies:
 
 Migration reads and programs are scheduled on the owning plane's
 timeline, so GC delays subsequent host operations on that plane exactly
-as in SSDsim; erase adds its 15 ms on top.
+as in SSDsim; erase adds its 15 ms on top.  The migration itself is
+:meth:`PageFTL.migrate_block <repro.ssd.ftl.PageFTL.migrate_block>`,
+the loop the bad-block rescue also uses.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ class GarbageCollector:
         "profiler",
         "_wear_aware",
         "victim_policy",
+        "_bpp",
         "_thr_blocks",
         "_low_blocks",
     )
@@ -113,6 +116,7 @@ class GarbageCollector:
         # must agree bit-for-bit with ``n / bpp >= thr`` for every n, and
         # the float product rounds differently for some thresholds.
         bpp = config.blocks_per_plane
+        self._bpp = bpp
         self._thr_blocks = next(
             (n for n in range(bpp + 1) if n / bpp >= config.gc_threshold), bpp + 1
         )
@@ -122,19 +126,12 @@ class GarbageCollector:
         )
 
     # ------------------------------------------------------------------
-    def _collectable(self, plane: int):
-        """Blocks eligible for collection in ``plane``: not active, not
-        free, and holding at least one reclaimable (invalid) page."""
-        flash = self.flash
-        for block in self.geometry.blocks_of_plane(plane):
-            if flash.block_is_active(block) or flash.write_ptr[block] == 0:
-                continue
-            if flash.valid_count[block] >= flash.write_ptr[block]:
-                continue  # every written page still valid
-            if block in flash.retired:
-                continue  # grown-bad block: never erased or reused
-            yield block
-
+    # Victim selection.  A block is collectable when it is not a write
+    # point (host or GC stream), not free (``write_ptr`` 0), holds at
+    # least one reclaimable (invalid) page and is not retired.  Both
+    # policies filter the plane's block range in one pass on hoisted
+    # lists; the checks run cheapest first.
+    # ------------------------------------------------------------------
     def select_victim(self, plane: int) -> Optional[int]:
         """Pick the victim block per the configured policy (see module
         docstring); ``wear_aware`` breaks ties toward younger blocks."""
@@ -143,14 +140,27 @@ class GarbageCollector:
         return self._select_greedy(plane)
 
     def _select_greedy(self, plane: int) -> Optional[int]:
+        """Fewest valid pages, then (wear-aware) fewest erases; the
+        first block in index order wins a tie."""
         flash = self.flash
+        write_ptr = flash.write_ptr
+        valid_count = flash.valid_count
+        erase_count = flash.erase_count
+        retired = flash.retired
+        active = flash.active_block[plane]
+        gc_active = flash.gc_active_block[plane]
+        wear_aware = self._wear_aware
+        first = plane * self._bpp
         best = None
         best_key: tuple[int, int] | None = None
-        for block in self._collectable(plane):
-            key = (
-                flash.valid_count[block],
-                flash.erase_count[block] if self._wear_aware else 0,
-            )
+        for block in range(first, first + self._bpp):
+            written = write_ptr[block]
+            if written == 0 or block == active or block == gc_active:
+                continue
+            valid = valid_count[block]
+            if valid >= written or block in retired:
+                continue
+            key = (valid, erase_count[block] if wear_aware else 0)
             if best_key is None or key < best_key:
                 best_key = key
                 best = block
@@ -158,20 +168,35 @@ class GarbageCollector:
 
     def _select_cost_benefit(self, plane: int) -> Optional[int]:
         flash = self.flash
+        write_ptr = flash.write_ptr
+        valid_count = flash.valid_count
+        erase_count = flash.erase_count
+        last_program_seq = flash.last_program_seq
+        retired = flash.retired
+        active = flash.active_block[plane]
+        gc_active = flash.gc_active_block[plane]
+        wear_aware = self._wear_aware
         now_seq = flash.total_programs
         pages = self.config.pages_per_block
+        first = plane * self._bpp
         best = None
         best_score = -1.0
-        for block in self._collectable(plane):
-            u = flash.valid_count[block] / pages
-            age = max(1, now_seq - flash.last_program_seq[block])
+        for block in range(first, first + self._bpp):
+            written = write_ptr[block]
+            if written == 0 or block == active or block == gc_active:
+                continue
+            valid = valid_count[block]
+            if valid >= written or block in retired:
+                continue
+            u = valid / pages
+            age = max(1, now_seq - last_program_seq[block])
             # (1-u)*age / 2u; u == 0 (fully invalid) is infinitely good.
             score = float("inf") if u == 0 else (1.0 - u) * age / (2.0 * u)
             if score > best_score or (
                 score == best_score
-                and self._wear_aware
+                and wear_aware
                 and best is not None
-                and flash.erase_count[block] < flash.erase_count[best]
+                and erase_count[block] < erase_count[best]
             ):
                 best_score = score
                 best = block
@@ -220,18 +245,14 @@ class GarbageCollector:
     ) -> float:
         """Migrate valid pages out of ``victim``, then erase it."""
         flash = self.flash
-        t = now
-        for ppn in flash.valid_pages_of_block(victim):
-            # Read out of the victim...
-            op = self.resources.schedule_read(plane, t)
-            t = op.end
-            # ...and program into the active block of the same plane.
-            # ftl.relocate updates mapping and flash state; it must not
-            # trigger nested GC (the free list is guaranteed non-empty
-            # because the victim itself is about to be erased).
-            op = ftl.relocate(ppn, plane, t)
-            t = op.end
-            self.stats.pages_migrated += 1
+        # Every migrated page is one program; counting them from the
+        # program sequence keeps the tally exact if migration raises
+        # (FlashOutOfSpace) part-way through the victim.
+        programs_before = flash.total_programs
+        try:
+            t = ftl.migrate_block(victim, plane, now)
+        finally:
+            self.stats.pages_migrated += flash.total_programs - programs_before
         op = self.resources.schedule_erase(plane, t)
         if self.faults.enabled and self.faults.on_erase(victim, plane, op.end):
             # Erase failure: the (fully migrated) victim is retired in

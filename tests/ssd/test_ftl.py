@@ -110,20 +110,42 @@ class TestReads:
 
 
 class TestRelocate:
+    """Page relocation through ``PageFTL.migrate_block``, the one
+    migration loop GC and the bad-block rescue share."""
+
     def test_relocate_moves_mapping(self):
         _cfg, geo, flash, _res, _gc, ftl = make_stack()
         ftl.write_page(5, 0.0)
         old = ftl.lookup(5)
-        ftl.relocate(old, geo.plane_of_ppn(old), 1.0)
+        block, plane = geo.block_of_ppn(old), geo.plane_of_ppn(old)
+        # migrate_block moves pages out of a block that is no longer a
+        # write point (as the rescue path does).
+        flash.detach_write_point(block)
+        end = ftl.migrate_block(block, plane, 1.0)
         new = ftl.lookup(5)
         assert new != old
         assert flash.page_state[old] == PageState.INVALID
+        assert end > 1.0
         ftl.validate()
 
     def test_relocate_dead_page_rejected(self):
-        *_rest, ftl = make_stack()
+        _cfg, _geo, flash, _res, _gc, ftl = make_stack()
+        # A valid page the FTL never mapped: programmed behind its back.
+        flash.program(flash.allocate_page(0))
         with pytest.raises(ValueError, match="no live LPN"):
-            ftl.relocate(0, 0, 0.0)
+            ftl.migrate_block(0, 0, 0.0)
+
+
+class TestTimelines:
+    def test_event_driven_timelines_rejected(self):
+        # The write and migration loops inline ResourceTimelines'
+        # arithmetic; the event-driven cross-check scheduler would be
+        # bypassed, so the FTL refuses it up front.
+        from repro.ssd.eventsim import EventDrivenTimelines
+
+        cfg, geo, flash, res, gc, _ftl = make_stack()
+        with pytest.raises(TypeError, match="EventDrivenTimelines"):
+            PageFTL(cfg, geo, flash, EventDrivenTimelines(cfg, geo), gc)
 
 
 class TestGCTrigger:

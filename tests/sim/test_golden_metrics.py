@@ -4,11 +4,12 @@ Replays one small deterministic trace through the paper's three headline
 policies on the full device model and compares the integer-derived
 metrics (hit counts, eviction histogram, flash traffic) and the timing
 results, bit-exact as ``float.hex`` strings, against a checked-in JSON
-fixture.  The default device is pinned, and so are four GC variants:
-cost-benefit victims, wear-aware victims, a separate GC write stream and
-a DFTL cached mapping table.  Any behavioural change to a policy, the
-controller, the FTL or GC shows up here as a diff — deliberate changes
-are re-pinned with::
+fixture.  The default device is pinned, and so are four GC variants
+(cost-benefit victims, wear-aware victims, a separate GC write stream and
+a DFTL cached mapping table) and the ``harsh`` fault profile, whose ECC
+retry ladder lengthens host reads.  Any behavioural change to a policy,
+the controller, the FTL, GC or the fault path shows up here as a diff —
+deliberate changes are re-pinned with::
 
     pytest tests/sim/test_golden_metrics.py --update-golden
 
@@ -88,6 +89,9 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
     # One 4 KB translation page of CMT for a two-page mapping table:
     # translation misses and dirty write-backs on every alternation.
     "dftl": {"mapping_cache_bytes": 4096},
+    # Worn NAND: read retries and program/erase failures that retire
+    # blocks until the device latches read-only mode.
+    "harsh": {"fault_profile": "harsh", "fault_seed": 0},
 }
 
 
@@ -103,7 +107,7 @@ def _metrics_fingerprint(policy: str, variant: str = "") -> Dict[str, object]:
                 functools.partial(SSDController, wear_aware_gc=True),
             )
         metrics = replay_trace(_golden_trace(), config)
-    return {
+    fingerprint: Dict[str, object] = {
         "page_hits": metrics.pages.hits,
         "page_total": metrics.pages.total,
         "hit_ratio": round(metrics.hit_ratio, 6),
@@ -126,6 +130,17 @@ def _metrics_fingerprint(policy: str, variant: str = "") -> Dict[str, object]:
         "total_response_ms": metrics.total_response_ms.hex(),
         "mean_plane_utilisation": metrics.mean_plane_utilisation.hex(),
     }
+    if "fault_profile" in overrides:
+        d = metrics.durability
+        assert d is not None and not metrics.aborted
+        fingerprint.update(
+            reads_with_retry=d.reads_with_retry,
+            read_retries=d.read_retries,
+            unrecoverable_reads=d.unrecoverable_reads,
+            blocks_retired=d.blocks_retired,
+            degraded=d.degraded,
+        )
+    return fingerprint
 
 
 def _check_or_update(
@@ -167,11 +182,15 @@ def test_golden_metrics(update_golden: bool) -> None:
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_golden_gc_variants(variant: str, update_golden: bool) -> None:
-    """Each GC variant replays to its pinned counts and timing."""
+    """Each variant replays to its pinned counts and timing."""
     actual = {policy: _metrics_fingerprint(policy, variant) for policy in POLICIES}
     assert all(fp["gc_migrated_pages"] for fp in actual.values()), (
         f"{variant}: the golden device no longer makes GC migrate pages"
     )
+    if "fault_profile" in VARIANTS[variant]:
+        assert all(fp["reads_with_retry"] for fp in actual.values()), (
+            f"{variant}: the golden replay no longer retries any read"
+        )
     _check_or_update(["variants", variant], actual, update_golden)
 
 

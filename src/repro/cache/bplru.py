@@ -16,8 +16,8 @@ Block-level LRU over 64-page SSD blocks with two signature mechanisms:
 be switch-merged) is supported behind ``page_padding=True``; it is off
 by default because the paper's Figure 10/11 eviction and write counts
 are consistent with flushing only the cached pages.  When enabled, the
-padding reads are reported in the outcome so the controller can charge
-their flash-read time.
+padding pages are reported as read misses of the evicting write; the
+controller reads them from flash before it programs the padded block.
 """
 
 from __future__ import annotations

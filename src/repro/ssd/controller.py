@@ -13,7 +13,13 @@ array.  Service semantics (see DESIGN.md §5):
   eviction efficiency (batch size, channel striping) shapes response
   time without over-charging every write the full program latency;
 * a **read** completes when its last page is available — immediately
-  for cache hits, after the scheduled flash read otherwise;
+  for cache hits, after the scheduled flash read otherwise.  A
+  request's read misses reach the FTL as one ``read_batch`` call, all
+  issued at the arrival time (page by page under the phase profiler);
+* a **write** whose outcome carries read misses (BPLRU page padding)
+  reads them first, as one ``read_batch`` at its arrival, and issues
+  its flushes when the reads end: a padded block cannot be programmed
+  before its missing pages are in;
 * flush batches stripe across planes via the FTL's dynamic allocator
   unless the batch is pinned (``FlushBatch.pin_key``, BPLRU), in which
   case every page programs into one plane and the batch serialises on
@@ -27,7 +33,7 @@ array.  Service semantics (see DESIGN.md §5):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, List, NamedTuple
 
 from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch
 from repro.faults.degraded import DegradedMode
@@ -328,8 +334,19 @@ class SSDController:
                 prof.stop()
 
         flushes = outcome.flushes
+        read_misses = outcome.read_miss_lpns
         space_ready = now
+        if is_write and read_misses:
+            # BPLRU page padding: the victim block's missing pages are
+            # read first, and the padded block is programmed once they
+            # are in.
+            space_ready = (
+                self.ftl.read_batch(read_misses, now)
+                if not prof.enabled
+                else self._read_profiled(read_misses, now)
+            )
         if flushes:
+            flush_at = space_ready
             # Single-page policies (LRU) emit one batch per evicted
             # page; skip the profiler wrapper per batch when it's off.
             combined: "list | None" = None
@@ -345,45 +362,47 @@ class SSDController:
                         break
                     combined.extend(b.lpns)
             if combined is not None:
-                space_ready = self._flush_impl(FlushBatch(combined), now)
+                space_ready = self._flush_impl(FlushBatch(combined), flush_at)
             else:
                 flush = self._flush_impl if not prof.enabled else self._flush
                 for batch in flushes:
-                    t = flush(batch, now)
+                    t = flush(batch, flush_at)
                     if t > space_ready:
                         space_ready = t
 
         dram_time = self.cache_service_ms * request.npages
         if is_write:
-            completion = now + dram_time
-            if flushes:
-                # The write had to wait for cache space: the victim
-                # batch's transfers out of DRAM gate the insertion.
-                gated = space_ready + dram_time
-                if gated > completion:
-                    completion = gated
+            # A write that had to wait for cache space is gated by the
+            # victim batch's transfers out of DRAM (``space_ready`` is
+            # ``now`` when nothing was evicted).
+            completion = space_ready + dram_time
         else:
             completion = now + dram_time if outcome.page_hits else now
-            read_misses = outcome.read_miss_lpns
-            if not read_misses:
-                pass
-            elif not prof.enabled:
-                read_page = self.ftl.read_page
-                for lpn in read_misses:
-                    end = read_page(lpn, now).end
-                    if end > completion:
-                        completion = end
-            else:
-                prof.start("read")
-                try:
-                    read_page = self.ftl.read_page
-                    for lpn in read_misses:
-                        end = read_page(lpn, now).end
-                        if end > completion:
-                            completion = end
-                finally:
-                    prof.stop()
+            if read_misses:
+                end = (
+                    self.ftl.read_batch(read_misses, now)
+                    if not prof.enabled
+                    else self._read_profiled(read_misses, now)
+                )
+                if end > completion:
+                    completion = end
         return RequestRecord(response_ms=completion - now, outcome=outcome)
+
+    def _read_profiled(self, lpns: List[int], now: float) -> float:
+        """``ftl.read_batch(lpns, now)`` under the ``"read"`` profile
+        phase, reading page by page so ``"ftl"`` time nests per page."""
+        prof = self.profiler
+        prof.start("read")
+        try:
+            done = now
+            read_page = self.ftl.read_page
+            for lpn in lpns:
+                end = read_page(lpn, now).end
+                if end > done:
+                    done = end
+            return done
+        finally:
+            prof.stop()
 
     # ------------------------------------------------------------------
     def _flush(self, batch: FlushBatch, now: float) -> float:

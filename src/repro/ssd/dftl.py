@@ -28,7 +28,7 @@ unchanged, while the *timing* cost of limited mapping DRAM is modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.flash import FlashArray
@@ -161,6 +161,17 @@ class CachedMappingFTL(PageFTL):
         """Translate (possibly via flash), then read as PageFTL does."""
         ready = self._translate(lpn, now, dirty=False)
         return super().read_page(lpn, ready)
+
+    def read_batch(self, lpns: List[int], now: float) -> float:
+        """Per page, translate then read (:meth:`read_page`), so each
+        page pays its own translation charge; returns the latest end."""
+        done = now
+        read_page = self.read_page
+        for lpn in lpns:
+            end = read_page(lpn, now).end
+            if end > done:
+                done = end
+        return done
 
     # GC relocations update mappings in place; real DFTL batches these
     # updates per victim block, so we dirty the translation pages without

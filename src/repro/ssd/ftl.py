@@ -77,6 +77,7 @@ class PageFTL:
         "_rr",
         "_ppb",
         "_gc_thr",
+        "_n_planes",
     )
 
     def __init__(
@@ -141,6 +142,9 @@ class PageFTL:
         # free-block threshold as plain ints.
         self._ppb = config.pages_per_block
         self._gc_thr = gc._thr_blocks
+        # The read path places unmapped reads by plane count; the config
+        # derives it through two properties per access.
+        self._n_planes = config.n_planes
 
     # ------------------------------------------------------------------
     # Queries
@@ -524,6 +528,67 @@ class PageFTL:
             # reads of pre-trace data carry no modeled block wear).
             op = self.faults.on_read(self.resources, lpn, ppn, plane, op)
         return op
+
+    def read_batch(self, lpns: List[int], now: float) -> float:
+        """Read every LPN of ``lpns`` in order, all issued at ``now``.
+
+        The controller's read-miss path: returns the latest read end, or
+        ``now`` for an empty list.  Equivalent to folding
+        ``read_page(lpn, now).end`` into a running maximum that starts
+        at ``now`` (same float operations, same order per page, same
+        ``FTLStats`` read counters; with fault injection on, the ECC
+        retry ladder runs on each mapped page right after its read), but
+        with the map, the ``ResourceTimelines.schedule_read`` arithmetic
+        and the latencies hoisted out of the loop.  It runs outside the
+        phase profiler: profiled replays read per page.
+        """
+        m = self._map
+        n_map = len(m)
+        pages_per_plane = self.geometry._pages_per_plane
+        n_planes = self._n_planes
+        res = self.resources
+        chan_of = res._chan_of
+        bus_free = res.bus_free
+        plane_free = res.plane_free
+        bus_busy = res.bus_busy_ms
+        plane_busy = res.plane_busy_ms
+        read_ms = res._read_ms
+        xfer = res._xfer
+        faults = self.faults
+        faulty = faults.enabled
+        done = now
+        mapped = unmapped = 0
+        try:
+            for lpn in lpns:
+                ppn = m[lpn] if lpn < n_map else -1
+                if ppn < 0:
+                    unmapped += 1
+                    plane = lpn % n_planes
+                else:
+                    mapped += 1
+                    plane = ppn // pages_per_plane
+                channel = chan_of[plane]
+                busy = plane_free[plane]
+                cell_start = now if now > busy else busy
+                cell_end = cell_start + read_ms
+                busy = bus_free[channel]
+                xfer_start = cell_end if cell_end > busy else busy
+                end = xfer_start + xfer
+                bus_free[channel] = end
+                plane_free[plane] = end
+                bus_busy[channel] += xfer
+                plane_busy[plane] += end - cell_start
+                if faulty and ppn >= 0:
+                    end = faults.on_read(
+                        res, lpn, ppn, plane, OpTimes(cell_start, end, end)
+                    ).end
+                if end > done:
+                    done = end
+        finally:
+            stats = self.stats
+            stats.host_reads += mapped
+            stats.unmapped_reads += unmapped
+        return done
 
     # ------------------------------------------------------------------
     # GC support

@@ -6,12 +6,13 @@ import pytest
 
 from repro.cache.lru import LRUCache
 from repro.cache.bplru import BPLRUCache
+from repro.obs.profile import PhaseProfiler
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDController
 from tests.conftest import R, W
 
 
-def make_controller(cache_pages=8, policy_cls=LRUCache, **policy_kwargs):
+def make_controller(cache_pages=8, policy_cls=LRUCache, profiler=None, **policy_kwargs):
     cfg = SSDConfig(
         n_channels=2,
         chips_per_channel=2,
@@ -20,7 +21,9 @@ def make_controller(cache_pages=8, policy_cls=LRUCache, **policy_kwargs):
         pages_per_block=8,
     )
     policy = policy_cls(cache_pages, **policy_kwargs)
-    return SSDController(cfg, policy, cache_service_ms_per_page=0.01)
+    return SSDController(
+        cfg, policy, cache_service_ms_per_page=0.01, profiler=profiler
+    )
 
 
 class TestWrites:
@@ -103,6 +106,57 @@ class TestPinnedFlush:
             c.geometry.unpack(c.ftl.lookup(lpn)).channel for lpn in range(8)
         }
         assert len(channels) == c.config.n_channels
+
+
+class TestBPLRUPadding:
+    """A padded BPLRU eviction reads the victim block's missing pages
+    from flash, then programs the full block once they are in."""
+
+    @staticmethod
+    def _evict_partial_block(page_padding, profiled=False):
+        c = make_controller(
+            cache_pages=8,
+            policy_cls=BPLRUCache,
+            profiler=PhaseProfiler() if profiled else None,
+            pages_per_block=8,
+            page_padding=page_padding,
+        )
+        c.submit(W(0, 3, t=0.0))  # pages 0-2 of block 0
+        rec = c.submit(W(16, 8, t=1.0))  # evicts block 0
+        return c, rec
+
+    @staticmethod
+    def _flash_reads(c):
+        return c.ftl.stats.host_reads + c.ftl.stats.unmapped_reads
+
+    def test_padding_off_reads_nothing(self):
+        c, rec = self._evict_partial_block(page_padding=False)
+        assert rec.outcome.read_miss_lpns == []
+        assert self._flash_reads(c) == 0
+        assert c.flushed_pages == 3
+        # Three pinned transfers on one bus gate the 8-page insertion.
+        xfer = c.config.page_transfer_ms
+        assert rec.response_ms == pytest.approx(3 * xfer + 8 * 0.01)
+
+    @pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+    def test_padding_reads_are_timed(self, profiled):
+        off, rec_off = self._evict_partial_block(page_padding=False)
+        on, rec_on = self._evict_partial_block(page_padding=True, profiled=profiled)
+        padding = rec_on.outcome.read_miss_lpns
+        assert padding == [3, 4, 5, 6, 7]
+        assert self._flash_reads(on) - self._flash_reads(off) == len(padding)
+        assert on.flushed_pages == 8
+        # The padded block's eight transfers on its one channel start
+        # once the reads are in, and the write waits for them.
+        reads_end = make_controller().ftl.read_batch(padding, 1.0)
+        cfg = on.config
+        assert reads_end - 1.0 >= cfg.read_latency_ms + cfg.page_transfer_ms
+        assert rec_on.response_ms == pytest.approx(
+            reads_end - 1.0 + 8 * cfg.page_transfer_ms + 8 * 0.01
+        )
+        assert rec_on.response_ms > rec_off.response_ms
+        if profiled:
+            assert "read" in on.profiler.stats
 
 
 class TestDrain:

@@ -44,17 +44,12 @@ bench:
 # one (the same comparison the CI perf job runs; see CONTRIBUTING.md).
 # The committed baseline is stashed first because a same-day run would
 # otherwise overwrite it and compare the fresh result against itself.
-# Both data-plane engines run (docs/arena.md); check_bench matches each
-# fresh file to the committed baseline with the same engine key.
 bench-check:
 	rm -rf .bench_baseline && mkdir .bench_baseline
 	cp benchmarks/results/BENCH_*.json .bench_baseline/
 	$(PYTHON) -m pytest benchmarks/test_baseline.py --benchmark-only -q
 	$(PYTHON) tools/check_bench.py --baseline .bench_baseline \
-		--fresh $$(ls -t benchmarks/results/BENCH_*.json | grep -v _arena | head -1)
-	REPRO_ENGINE=arena $(PYTHON) -m pytest benchmarks/test_baseline.py --benchmark-only -q
-	$(PYTHON) tools/check_bench.py --baseline .bench_baseline \
-		--fresh $$(ls -t benchmarks/results/BENCH_*_arena.json | head -1)
+		--fresh $$(ls -t benchmarks/results/BENCH_*.json | head -1)
 	rm -rf .bench_baseline
 
 # Layered benchmark (BENCHMARK.json): its self-test, then one replay

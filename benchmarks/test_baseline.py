@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 import time
 
 from conftest import BENCH_SCALE, RESULTS_DIR, once
@@ -31,10 +30,6 @@ from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.traces.synthetic import SyntheticConfig, generate_trace
 
 CACHE_BYTES = 256 * 4096
-# Data-plane engine under test (docs/arena.md).  Recorded in the JSON so
-# tools/check_bench.py compares like against like; arena runs land in a
-# ``BENCH_<date>_arena.json`` so they never shadow the object baseline.
-ENGINE = os.environ.get("REPRO_ENGINE", "object")
 # Scales with REPRO_BENCH_SCALE like the figure benchmarks: the default
 # 1/32 gives the 20k-request load the committed BENCH_*.json baselines
 # were recorded at; the nightly workflow runs 1/16 (40k requests).
@@ -74,7 +69,6 @@ def test_benchmark_baseline(benchmark):
     trace = _baseline_trace()
     doc = {
         "date": datetime.date.today().isoformat(),
-        "engine": ENGINE,
         "scale": BENCH_SCALE,
         "n_requests": len(trace),
         "cache_bytes": CACHE_BYTES,
@@ -85,9 +79,7 @@ def test_benchmark_baseline(benchmark):
 
     def run():
         for policy in PAPER_COMPARISON:
-            cfg = ReplayConfig(
-                policy=policy, cache_bytes=CACHE_BYTES, engine=ENGINE
-            )
+            cfg = ReplayConfig(policy=policy, cache_bytes=CACHE_BYTES)
             full = _best_of(2, lambda c=cfg: replay_trace(trace, c))
             fast = _best_of(2, lambda c=cfg: replay_cache_only(trace, c))
             doc["replay_req_per_s"][policy] = round(len(trace) / full, 1)
@@ -98,12 +90,7 @@ def test_benchmark_baseline(benchmark):
         # "enabled" carries the full per-request recorder cost.
         def overhead(replay_fn):
             def cfg(**kw):
-                return ReplayConfig(
-                    policy="reqblock",
-                    cache_bytes=CACHE_BYTES,
-                    engine=ENGINE,
-                    **kw,
-                )
+                return ReplayConfig(policy="reqblock", cache_bytes=CACHE_BYTES, **kw)
 
             variants = [
                 lambda: replay_fn(trace, cfg()),
@@ -134,8 +121,7 @@ def test_benchmark_baseline(benchmark):
     once(benchmark, run)
 
     RESULTS_DIR.mkdir(exist_ok=True)
-    suffix = "" if ENGINE == "object" else f"_{ENGINE}"
-    out = RESULTS_DIR / f"BENCH_{doc['date']}{suffix}.json"
+    out = RESULTS_DIR / f"BENCH_{doc['date']}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"\n[saved to {out}]")
     assert doc["telemetry_overhead"]["cache_only"]["enabled_ratio"] < 2.0

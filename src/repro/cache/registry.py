@@ -5,20 +5,14 @@ their string name (``"lru"``, ``"bplru"``, ``"vbbms"``, ``"reqblock"``,
 ...), so adding a scheme means adding one entry here (or calling
 :func:`register_policy` from user code).
 
-Policies may come in two *engines*: the reference object-per-node
-implementation and an arena (flat-array) implementation registered
-under ``<name>-arena``.  :func:`create_policy` takes an ``engine``
-argument (falling back to the ``REPRO_ENGINE`` environment variable,
-default ``"object"``) and transparently resolves a base name to its
-arena variant when one exists — policies without an arena variant run
-their object implementation under either engine.  See
-``docs/arena.md``.
+Each name maps to exactly one implementation: the policies keep their
+lists as :class:`repro.utils.dll.DLL` nodes, and
+:func:`create_policy` instantiates the registered class directly.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from repro.cache.base import CachePolicy
 from repro.cache.bplru import BPLRUCache
@@ -36,10 +30,7 @@ __all__ = [
     "create_policy",
     "available_policies",
     "policy_class",
-    "resolve_policy",
     "PAPER_COMPARISON",
-    "ENGINES",
-    "ARENA_SUFFIX",
 ]
 
 _REGISTRY: Dict[str, Type[CachePolicy]] = {}
@@ -47,12 +38,6 @@ _REGISTRY: Dict[str, Type[CachePolicy]] = {}
 #: The four schemes compared throughout the paper's evaluation, in the
 #: order its figures list them.
 PAPER_COMPARISON: List[str] = ["lru", "bplru", "vbbms", "reqblock"]
-
-#: The selectable data-plane engines (see docs/arena.md).
-ENGINES = ("object", "arena")
-
-#: Naming convention linking a policy to its arena implementation.
-ARENA_SUFFIX = "-arena"
 
 
 def register_policy(cls: Type[CachePolicy]) -> Type[CachePolicy]:
@@ -76,39 +61,10 @@ def policy_class(name: str) -> Type[CachePolicy]:
         raise KeyError(f"unknown cache policy {name!r}; known: {known}") from None
 
 
-def resolve_policy(name: str, engine: Optional[str] = None) -> str:
-    """Map a policy name through the engine switch.
-
-    ``engine=None`` consults the ``REPRO_ENGINE`` environment variable
-    and defaults to ``"object"``.  Under the arena engine a base name
-    resolves to ``<name>-arena`` when that variant is registered;
-    explicit ``*-arena`` names and policies without an arena variant
-    pass through unchanged.
-    """
-    _ensure_builtin()
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "object"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}"
-        )
-    if engine == "arena" and not name.endswith(ARENA_SUFFIX):
-        candidate = name + ARENA_SUFFIX
-        if candidate in _REGISTRY:
-            return candidate
-    return name
-
-
-def create_policy(
-    name: str, capacity_pages: int, engine: Optional[str] = None, **kwargs
-) -> CachePolicy:
-    """Instantiate the policy registered under ``name``.
-
-    ``engine`` selects the data-plane implementation (see
-    :func:`resolve_policy`); policy keyword arguments pass through to
-    the class constructor.
-    """
-    return policy_class(resolve_policy(name, engine))(capacity_pages, **kwargs)
+def create_policy(name: str, capacity_pages: int, **kwargs) -> CachePolicy:
+    """Instantiate the policy registered under ``name``; keyword
+    arguments pass through to the class constructor."""
+    return policy_class(name)(capacity_pages, **kwargs)
 
 
 def available_policies() -> List[str]:
@@ -123,8 +79,6 @@ def _ensure_builtin() -> None:
     package's base classes)."""
     if "reqblock" in _REGISTRY:
         return
-    from repro.cache.arena import BPLRUArenaCache, LRUArenaCache, VBBMSArenaCache
-    from repro.core.arena import ReqBlockArenaCache
     from repro.core.policy import ReqBlockCache
 
     # Importing the extension module registers "reqblock-adaptive" as a
@@ -142,9 +96,5 @@ def _ensure_builtin() -> None:
         PUDLRUCache,
         VBBMSCache,
         ReqBlockCache,
-        LRUArenaCache,
-        BPLRUArenaCache,
-        VBBMSArenaCache,
-        ReqBlockArenaCache,
     ):
         register_policy(cls)

@@ -130,17 +130,13 @@ class TenantPartitioner(CachePolicy):
         tenant_map: TenantMap,
         mode: str = "static",
         weights: Optional[Sequence[float]] = None,
-        engine: Optional[str] = None,
         **policy_kwargs: object,
     ) -> "TenantPartitioner":
         """Construct the partitioned form of a registered policy."""
         quotas = split_capacity(
             capacity_pages, tenant_map.n_tenants, mode, weights
         )
-        inners = [
-            create_policy(policy, q, engine=engine, **policy_kwargs)
-            for q in quotas
-        ]
+        inners = [create_policy(policy, q, **policy_kwargs) for q in quotas]
         return cls(inners, tenant_map)
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.registry import ENGINES, PAPER_COMPARISON, available_policies
+from repro.cache.registry import PAPER_COMPARISON, available_policies
 from repro.experiments.common import (
     add_resilience_args,
     finish_experiment,
@@ -317,7 +317,6 @@ def _replay_sharded_cmd(
     config = ReplayConfig(
         policy=args.policy,
         cache_bytes=cache_bytes,
-        engine=args.engine,
         fault_profile=args.fault_profile,
         fault_seed=args.fault_seed,
         capacitor_pages=args.capacitor_pages,
@@ -352,7 +351,6 @@ def _replay_sharded_cmd(
         config={
             "workload": args.workload,
             "policy": args.policy,
-            "engine": args.engine,
             "cache_mb": args.cache_mb,
             "scale": args.scale,
             "fault_profile": args.fault_profile,
@@ -449,7 +447,6 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
     config = ReplayConfig(
         policy=args.policy,
         cache_bytes=cache_bytes,
-        engine=args.engine,
         tracer=tracer,
         check_invariants=args.check_invariants,
         fault_profile=args.fault_profile,
@@ -484,7 +481,6 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
         config={
             "workload": args.workload,
             "policy": args.policy,
-            "engine": args.engine,
             "cache_mb": args.cache_mb,
             "scale": args.scale,
             "fault_profile": args.fault_profile,
@@ -595,9 +591,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                     policy=policy,
                     cache_bytes=cache_bytes,
                     scale=args.scale,
-                    replay_kwargs=(
-                        (("engine", args.engine),) if args.engine else ()
-                    ),
                     tenants=args.tenants,
                     tenancy=args.tenancy,
                     tenant_skew=args.tenant_skew,
@@ -620,7 +613,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                     policy=policy,
                     cache_bytes=cache_bytes,
                     profile=args.profile,
-                    engine=args.engine,
                     tenancy=args.tenancy,
                     tenants=tenant_map,
                     tenant_weights=tenant_weights,
@@ -633,7 +625,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         config={
             "workload": args.workload,
             "policies": list(args.policies),
-            "engine": args.engine,
             "cache_mb": args.cache_mb,
             "scale": args.scale,
             "jobs": args.jobs,
@@ -1051,12 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay one workload through one policy")
     p.add_argument("workload", help="paper workload name or MSR CSV path")
     p.add_argument("--policy", default="reqblock", choices=available_policies())
-    p.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="data-plane implementation for the policy (arena resolves "
-             "<policy>-arena when registered; default: REPRO_ENGINE "
-             "env var, then object — see docs/arena.md)",
-    )
     p.add_argument("--cache-mb", type=int, default=16)
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument(
@@ -1118,11 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policies", nargs="+", default=list(PAPER_COMPARISON),
         choices=available_policies(),
-    )
-    p.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="data-plane implementation for every compared policy "
-             "(see docs/arena.md; default: REPRO_ENGINE, then object)",
     )
     p.add_argument("--cache-mb", type=int, default=16)
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)

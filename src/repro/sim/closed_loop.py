@@ -32,6 +32,7 @@ from repro.sim.replay import (
     METADATA_SAMPLE_INTERVAL,
     ReplayConfig,
     _build_policy,
+    _fold_utilisation,
     _resolve_accountant,
     _resolve_recorder,
     resolve_tracer,
@@ -74,6 +75,7 @@ def replay_closed_loop(
         policy,
         cache_service_ms_per_page=config.cache_service_ms_per_page,
         gc_victim_policy=config.gc_victim_policy,
+        mapping_cache_bytes=config.mapping_cache_bytes,
         tracer=tracer,
         faults=faults,
         metrics=config.metrics,
@@ -149,6 +151,8 @@ def replay_closed_loop(
     metrics.gc_migrated_pages = controller.gc.stats.pages_migrated
     metrics.gc_erases = controller.gc.stats.blocks_erased
     metrics.flash_total_writes = controller.total_flash_writes
+    if len(trace):
+        _fold_utilisation(metrics, controller, last_submit)
     if (
         faults is not None
         or power_report is not None

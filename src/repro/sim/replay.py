@@ -82,11 +82,6 @@ class ReplayConfig:
     policy: str = "lru"
     cache_bytes: int = 16 * 1024 * 1024
     policy_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Data-plane engine for the policy (``"object"`` / ``"arena"``;
-    #: None consults ``REPRO_ENGINE`` and defaults to ``"object"``).
-    #: See :func:`repro.cache.registry.resolve_policy` and
-    #: ``docs/arena.md``.
-    engine: Optional[str] = None
     ssd: Optional[SSDConfig] = None  # auto-sized for the trace when None
     over_provisioning: float = 0.5
     cache_service_ms_per_page: float = 0.01
@@ -192,15 +187,9 @@ def _build_policy(config: ReplayConfig) -> CachePolicy:
             config.tenants,
             mode=config.tenancy,
             weights=weights,
-            engine=config.engine,
             **config.policy_kwargs,
         )
-    return create_policy(
-        config.policy,
-        config.cache_pages,
-        engine=config.engine,
-        **config.policy_kwargs,
-    )
+    return create_policy(config.policy, config.cache_pages, **config.policy_kwargs)
 
 
 def _resolve_accountant(config: ReplayConfig) -> Optional[TenantAccountant]:
@@ -245,6 +234,22 @@ def _resolve_flight(config: ReplayConfig) -> Optional[FlightRecorder]:
     """The effective flight recorder: the configured one, else the
     process-ambient one a supervised worker activated, else None."""
     return config.flight if config.flight is not None else active_recorder()
+
+
+def _fold_utilisation(
+    metrics: ReplayMetrics, controller: SSDController, last_submit: float
+) -> None:
+    """Set the plane and bus utilisation fields of ``metrics`` over the
+    replay horizon: the later of the last request's submit time and the
+    moment the last plane goes idle."""
+    horizon = max(last_submit, max(controller.resources.plane_free, default=0.0))
+    plane_u = controller.resources.utilisation(horizon)
+    bus_u = controller.resources.bus_utilisation(horizon)
+    if plane_u:
+        metrics.mean_plane_utilisation = sum(plane_u) / len(plane_u)
+        metrics.max_plane_utilisation = max(plane_u)
+    if bus_u:
+        metrics.mean_bus_utilisation = sum(bus_u) / len(bus_u)
 
 
 def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
@@ -389,17 +394,7 @@ def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
     metrics.gc_erases = controller.gc.stats.blocks_erased - base_erases
     metrics.flash_total_writes = controller.total_flash_writes - base_programs
     if len(trace):
-        horizon = max(
-            trace[len(trace) - 1].time,
-            max(controller.resources.plane_free, default=0.0),
-        )
-        plane_u = controller.resources.utilisation(horizon)
-        bus_u = controller.resources.bus_utilisation(horizon)
-        if plane_u:
-            metrics.mean_plane_utilisation = sum(plane_u) / len(plane_u)
-            metrics.max_plane_utilisation = max(plane_u)
-        if bus_u:
-            metrics.mean_bus_utilisation = sum(bus_u) / len(bus_u)
+        _fold_utilisation(metrics, controller, trace[len(trace) - 1].time)
     if (
         faults is not None
         or power_report is not None

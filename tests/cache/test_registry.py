@@ -27,9 +27,20 @@ def _restore_registry():
 
 class TestRegistry:
     def test_all_builtins_present(self):
-        names = available_policies()
-        for expected in ("lru", "fifo", "lfu", "cflru", "fab", "bplru", "vbbms", "reqblock"):
-            assert expected in names
+        """Every built-in scheme, each under exactly one name."""
+        assert available_policies() == [
+            "bplru",
+            "cflru",
+            "ecr",
+            "fab",
+            "fifo",
+            "lfu",
+            "lru",
+            "pudlru",
+            "reqblock",
+            "reqblock-adaptive",
+            "vbbms",
+        ]
 
     def test_paper_comparison_subset(self):
         assert PAPER_COMPARISON == ["lru", "bplru", "vbbms", "reqblock"]

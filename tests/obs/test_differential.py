@@ -12,10 +12,16 @@ The LFU tie-break relies on a property of the bucket implementation: a
 page enters its bucket when its frequency last changed, so last-touch
 order equals bucket order and ``min()`` over last-touch order by
 frequency picks the same victim as "LRU tail of the lowest bucket".
+
+BPLRU gets the same treatment from :class:`RefBPLRU`, an ``OrderedDict``
+of blocks written from the ``repro.cache.bplru`` docstring alone: the
+production policy's untraced ``access`` must report the reference's
+hits, misses, read misses and flush batches on every request.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List
 
 from hypothesis import given, settings
@@ -62,6 +68,55 @@ class RefWriteBuffer:
             victim = self.order[0]
         self.order.remove(victim)
         del self.freq[victim]
+
+
+class RefBPLRU:
+    """Brute-force BPLRU: ``blocks`` maps block number -> [pages, last
+    inserted offset, sequential flag], least recently used first."""
+
+    def __init__(self, capacity: int, pages_per_block: int, padding: bool) -> None:
+        self.capacity = capacity
+        self.ppb = pages_per_block
+        self.padding = padding
+        self.blocks: "OrderedDict[int, list]" = OrderedDict()
+
+    def cached(self) -> set:
+        return {lpn for pages, _last, _seq in self.blocks.values() for lpn in pages}
+
+    def access(self, request: IORequest):
+        """``(hits, misses, read_miss_lpns, [(lpns, reason, pin_key)])``."""
+        hits = misses = 0
+        read_misses: List[int] = []
+        flushes = []
+        for lpn in request.pages():
+            lbn, offset = divmod(lpn, self.ppb)
+            if lpn in self.cached():
+                hits += 1
+                self.blocks[lbn][2] = False
+                self.blocks.move_to_end(lbn)
+                continue
+            misses += 1
+            if not request.is_write:
+                read_misses.append(lpn)
+                continue
+            while len(self.cached()) >= self.capacity:
+                victim, (pages, _last, _seq) = self.blocks.popitem(last=False)
+                lpns = sorted(pages)
+                if self.padding:
+                    first = victim * self.ppb
+                    missing = sorted(set(range(first, first + self.ppb)) - pages)
+                    read_misses.extend(missing)
+                    lpns = sorted(lpns + missing)
+                flushes.append((lpns, "capacity", victim))
+            block = self.blocks.setdefault(lbn, [set(), -1, True])
+            if offset != block[1] + 1:
+                block[2] = False
+            self.blocks.move_to_end(lbn)
+            block[0].add(lpn)
+            block[1] = offset
+            if block[2] and offset == self.ppb - 1 and len(block[0]) == self.ppb:
+                self.blocks.move_to_end(lbn, last=False)  # sequential demotion
+        return hits, misses, read_misses, flushes
 
 
 def _decisions_from_events(tracer: CountingTracer, req_id: int) -> List[bool]:
@@ -132,9 +187,80 @@ class TestDifferential:
         policy.validate()
 
     def test_reference_is_actually_naive(self):
-        """Guard the premise of the docstring: the reference stays a
+        """Guard the premise of the docstring: each reference stays a
         ~40-line dict+list model with no clever data structures."""
         import inspect
 
-        source = inspect.getsource(RefWriteBuffer)
-        assert len(source.splitlines()) < 50
+        for reference in (RefWriteBuffer, RefBPLRU):
+            source = inspect.getsource(reference)
+            assert len(source.splitlines()) < 50, reference.__name__
+
+
+#: Small blocks so random streams over LPNs 0..57 fill, demote and pad
+#: blocks often.
+BPLRU_PPB = 4
+
+
+def _run_bplru(ops, capacity: int, padding: bool):
+    """Replay ``ops`` through ``BPLRUCache`` and :class:`RefBPLRU` in
+    lockstep; returns every flush and read miss the policy reported."""
+    policy = create_policy(
+        "bplru", capacity, pages_per_block=BPLRU_PPB, page_padding=padding
+    )
+    reference = RefBPLRU(capacity, BPLRU_PPB, padding)
+    flushes, read_misses = [], []
+    for i, (is_write, lpn, npages) in enumerate(ops):
+        request = IORequest(
+            time=float(i),
+            op=OpType.WRITE if is_write else OpType.READ,
+            lpn=lpn,
+            npages=npages,
+        )
+        outcome = policy.access(request)
+        got = (
+            outcome.page_hits,
+            outcome.page_misses,
+            list(outcome.read_miss_lpns),
+            [(list(f.lpns), f.reason, f.pin_key) for f in outcome.flushes],
+        )
+        expected = reference.access(request)
+        assert got == expected, f"bplru diverged at request {i} ({request!r})"
+        assert set(policy.cached_lpns()) == reference.cached(), (
+            f"bplru: contents diverged at request {i}"
+        )
+        flushes.extend(got[3])
+        read_misses.extend(got[2])
+    policy.validate()
+    return flushes, read_misses
+
+
+class TestBPLRUDifferential:
+    @given(
+        ops=request_lists, capacity=st.integers(2, 24), padding=st.booleans()
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bplru_matches_reference(self, ops, capacity, padding):
+        _run_bplru(ops, capacity, padding)
+
+    def test_demotion_and_padding_exercised(self):
+        """A fixed stream whose flush order needs the sequential
+        demotion and whose second flush is padded.
+
+        Block 0 is written in order up to its last offset after block 2
+        was touched, so it is demoted behind block 2 and evicted first;
+        block 2 holds only LPN 9 when it goes, so its flush reads and
+        carries the padding LPNs 8, 10 and 11."""
+        ops = [
+            (True, 9, 1),  # block 2: one page
+            (True, 0, 4),  # block 0: sequential and full -> LRU end
+            (True, 20, 1),  # block 5; the cache now holds 6 pages
+            (True, 24, 1),  # evicts block 0, not the older block 2
+            (True, 28, 3),  # block 7 fills the cache again
+            (True, 32, 1),  # evicts block 2 with padding
+        ]
+        flushes, read_misses = _run_bplru(ops, capacity=6, padding=True)
+        assert flushes == [
+            ([0, 1, 2, 3], "capacity", 0),
+            ([8, 9, 10, 11], "capacity", 2),
+        ]
+        assert read_misses == [8, 10, 11]

@@ -12,15 +12,32 @@ def cfg(**kw):
     return ReplayConfig(policy="lru", cache_bytes=64 * 4096, **kw)
 
 
+#: Summary keys the closed loop derives as completion minus arrival,
+#: which can differ from the open loop's response time in the last bit.
+RESPONSE_KEYS = ("mean_response_ms", "p99_response_ms", "total_response_ms")
+
+
 class TestClosedLoop:
-    def test_unbounded_equals_open_loop(self, tiny_trace):
-        open_loop = replay_trace(tiny_trace, cfg())
-        closed = replay_closed_loop(tiny_trace, cfg(), queue_depth=None)
-        assert closed.hit_ratio == open_loop.hit_ratio
-        assert closed.total_response_ms == pytest.approx(
-            open_loop.total_response_ms
+    @pytest.mark.parametrize(
+        "mapping_cache_bytes", [None, 4096], ids=["resident", "dftl"]
+    )
+    def test_unbounded_equals_open_loop(self, tiny_trace, mapping_cache_bytes):
+        """Unbounded queue depth is open-loop replay: every summary key,
+        the utilisation fields and the mapping-cache configuration match."""
+        open_loop = replay_trace(
+            tiny_trace, cfg(mapping_cache_bytes=mapping_cache_bytes)
         )
-        assert closed.flash_total_writes == open_loop.flash_total_writes
+        closed = replay_closed_loop(
+            tiny_trace,
+            cfg(mapping_cache_bytes=mapping_cache_bytes),
+            queue_depth=None,
+        )
+        want, got = open_loop.summary(), closed.summary()
+        for key in RESPONSE_KEYS:
+            assert got.pop(key) == pytest.approx(want.pop(key)), key
+        assert got == want
+        assert closed.max_plane_utilisation == open_loop.max_plane_utilisation
+        assert closed.mean_bus_utilisation == open_loop.mean_bus_utilisation
 
     def test_bounded_qd_never_faster(self, tiny_trace):
         deep = replay_closed_loop(tiny_trace, cfg(), queue_depth=64)

@@ -15,11 +15,6 @@ not just aggregate-count drift.  If a digest changes, the optimisation
 changed semantics: fix the code, do not re-record, unless the eviction
 policy itself was deliberately changed.
 
-The same goldens pin the arena data-plane engine (docs/arena.md): the
-``*-arena`` policy variants must reproduce the seed digests, stay in
-per-request lockstep with the object implementations, and yield
-byte-identical replay summaries — serial and sharded.
-
 The golden-metrics suite (tests/sim/test_golden_metrics.py) plays the
 same role for the end-to-end replay numbers; this test localises a
 divergence to the cache layer and runs in seconds.
@@ -140,113 +135,3 @@ def test_traced_path_matches_fast_path(equiv_trace, policy_name):
                 h_traced.update(repr((tuple(batch.lpns), batch.pin_key)).encode())
     assert h_fast.hexdigest() == h_traced.hexdigest() == GOLDEN[policy_name][3]
 
-
-# ----------------------------------------------------------------------
-# Arena engine (docs/arena.md): the flat-array implementations must be
-# behaviourally invisible too — same goldens, lockstep with the object
-# engine per request, and byte-identical replay summaries.
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("policy_name", sorted(GOLDEN))
-def test_arena_matches_golden(equiv_trace, policy_name):
-    """The arena variants reproduce the seed goldens exactly.
-
-    This also covers the ``REPRO_ENGINE=arena`` CI leg: resolving a
-    base name under the arena engine must land on an implementation
-    with the seed's eviction behaviour."""
-    policy = create_policy(policy_name, CACHE_PAGES, engine="arena")
-    assert policy.name == policy_name + "-arena"
-    h = hashlib.sha256()
-    evictions = hits = misses = 0
-    for request in equiv_trace.requests:
-        outcome = policy.access(request)
-        hits += outcome.page_hits
-        misses += outcome.page_misses
-        for batch in outcome.flushes:
-            if batch.lpns:
-                evictions += 1
-                h.update(repr((tuple(batch.lpns), batch.pin_key)).encode())
-    want_evictions, want_hits, want_misses, want_digest = GOLDEN[policy_name]
-    assert (evictions, hits, misses) == (want_evictions, want_hits, want_misses)
-    assert h.hexdigest() == want_digest
-    policy.validate()
-
-
-@pytest.mark.parametrize("policy_name", sorted(GOLDEN))
-def test_engines_in_lockstep(equiv_trace, policy_name):
-    """Object and arena engines agree on every request, not just in
-    aggregate: same outcome counts, same flush batches (LPNs, order,
-    reason, pin key), and the same drain batch at the end."""
-    obj = create_policy(policy_name, CACHE_PAGES, engine="object")
-    arena = create_policy(policy_name, CACHE_PAGES, engine="arena")
-    for i, request in enumerate(equiv_trace.requests):
-        a = obj.access(request)
-        b = arena.access(request)
-        assert (a.page_hits, a.page_misses, a.inserted_pages) == (
-            b.page_hits,
-            b.page_misses,
-            b.inserted_pages,
-        ), f"outcome diverged at request {i}"
-        assert a.read_miss_lpns == b.read_miss_lpns, f"request {i}"
-        got_a = [(tuple(f.lpns), f.reason, f.pin_key) for f in a.flushes]
-        got_b = [(tuple(f.lpns), f.reason, f.pin_key) for f in b.flushes]
-        assert got_a == got_b, f"flushes diverged at request {i}"
-    assert obj.occupancy() == arena.occupancy()
-    assert sorted(obj.cached_lpns()) == sorted(arena.cached_lpns())
-    da, db = obj.flush_all(), arena.flush_all()
-    assert (tuple(da.lpns), da.reason) == (tuple(db.lpns), db.reason)
-    arena.validate()
-
-
-@pytest.mark.parametrize("policy_name", sorted(GOLDEN))
-def test_arena_traced_path_matches_fast_path(equiv_trace, policy_name):
-    """The arena traced mirrors stay in lockstep with the fused loops."""
-    from repro.obs.tracer import CountingTracer
-
-    fast = create_policy(policy_name, CACHE_PAGES, engine="arena")
-    traced = create_policy(policy_name, CACHE_PAGES, engine="arena")
-    traced.set_tracer(CountingTracer())
-
-    h_fast = hashlib.sha256()
-    h_traced = hashlib.sha256()
-    for request in equiv_trace.requests:
-        a = fast.access(request)
-        b = traced.access(request)
-        assert (a.page_hits, a.page_misses, a.inserted_pages) == (
-            b.page_hits,
-            b.page_misses,
-            b.inserted_pages,
-        )
-        for batch in a.flushes:
-            if batch.lpns:
-                h_fast.update(repr((tuple(batch.lpns), batch.pin_key)).encode())
-        for batch in b.flushes:
-            if batch.lpns:
-                h_traced.update(
-                    repr((tuple(batch.lpns), batch.pin_key)).encode()
-                )
-    assert h_fast.hexdigest() == h_traced.hexdigest() == GOLDEN[policy_name][3]
-
-
-@pytest.mark.parametrize("policy_name", sorted(GOLDEN))
-def test_summary_identical_across_engines(equiv_trace, policy_name):
-    """Full-model replay summaries are byte-identical between engines,
-    both serial and under the sharded parallel engine (--jobs 2)."""
-    from repro.sim.parallel import replay_sharded
-    from repro.sim.replay import ReplayConfig, replay_trace
-
-    def cfg(engine):
-        return ReplayConfig(
-            policy=policy_name, cache_bytes=CACHE_PAGES * 4096, engine=engine
-        )
-
-    serial_obj = replay_trace(equiv_trace, cfg("object")).summary()
-    serial_arena = replay_trace(equiv_trace, cfg("arena")).summary()
-    assert repr(serial_obj) == repr(serial_arena)
-
-    sharded_obj = replay_sharded(
-        equiv_trace, cfg("object"), n_shards=2, jobs=2
-    ).summary()
-    sharded_arena = replay_sharded(
-        equiv_trace, cfg("arena"), n_shards=2, jobs=2
-    ).summary()
-    assert repr(sharded_obj) == repr(sharded_arena)

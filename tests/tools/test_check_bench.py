@@ -102,38 +102,6 @@ def test_newest_baseline_picked_from_directory(tmp_path):
     assert rc == 0
 
 
-def test_engine_matched_baseline_picked(tmp_path):
-    """An arena fresh result is gated against the newest *arena*
-    baseline, skipping a newer object one (and vice versa: the arena
-    file's name sorts after the object file's for the same date, so
-    without the engine filter it would shadow the object baseline)."""
-    arena_base = _doc({k: v * 1.2 for k, v in BASE.items()})
-    arena_base["engine"] = "arena"
-    _write(tmp_path / "BENCH_2026-08-01_arena.json", arena_base)
-    _write(tmp_path / "BENCH_2026-08-05.json", _doc(BASE))  # newer, object
-    picked = check_bench.find_baseline(tmp_path, "arena")
-    assert picked is not None and picked.name == "BENCH_2026-08-01_arena.json"
-    picked = check_bench.find_baseline(tmp_path, "object")
-    assert picked is not None and picked.name == "BENCH_2026-08-05.json"
-    # End to end: the arena fresh run is compared against the (faster)
-    # arena baseline, so matching its numbers exactly passes.
-    fresh_doc = _doc({k: v * 1.2 for k, v in BASE.items()})
-    fresh_doc["engine"] = "arena"
-    fresh = _write(tmp_path / "fresh.json", fresh_doc)
-    rc = check_bench.main(["--baseline", str(tmp_path), "--fresh", str(fresh)])
-    assert rc == 0
-
-
-def test_no_baseline_for_engine_is_setup_error(tmp_path):
-    """Only object baselines on disk + an arena fresh result: exit 2."""
-    _write(tmp_path / "BENCH_2026-08-01.json", _doc(BASE))
-    fresh_doc = _doc(BASE)
-    fresh_doc["engine"] = "arena"
-    fresh = _write(tmp_path / "fresh.json", fresh_doc)
-    rc = check_bench.main(["--baseline", str(tmp_path), "--fresh", str(fresh)])
-    assert rc == 2
-
-
 def test_tighter_tolerance_catches_smaller_drop(tmp_path):
     jittery = {k: v * 0.9 for k, v in BASE.items()}
     rc = _run(tmp_path, _doc(BASE), _doc(jittery), tolerance=0.05)

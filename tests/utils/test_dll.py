@@ -169,6 +169,22 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             dll.move_to_tail(Node(1))
 
+    def test_validate_walks_both_directions(self):
+        """validate() length-checks a backward walk too, so pointer
+        corruption in either chain direction must trip it."""
+        for corrupt in (
+            lambda ns: setattr(ns[3], "next", ns[1]),  # stray tail next
+            lambda ns: setattr(ns[1], "prev", ns[2]),  # stray mid prev
+            lambda ns: setattr(ns[0], "prev", ns[3]),  # head gains a prev
+        ):
+            dll: DoublyLinkedList = DoublyLinkedList("d")
+            nodes = [DLLNode() for _ in range(4)]
+            for n in nodes:
+                dll.push_tail(n)
+            corrupt(nodes)
+            with pytest.raises(AssertionError):
+                dll.validate()
+
 
 @st.composite
 def dll_operations(draw):

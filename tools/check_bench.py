@@ -35,22 +35,15 @@ from typing import Dict, List, Optional
 THROUGHPUT_SECTIONS = ("replay_req_per_s", "cache_only_req_per_s")
 
 
-def find_baseline(path: Path, engine: str = "object") -> Optional[Path]:
-    """Resolve the baseline file: the path itself, or — for a directory —
-    the newest ``BENCH_*.json`` (by filename, which sorts by date) whose
-    recorded ``engine`` matches (files without the key count as
-    ``object``), so an arena result is never gated against an object
-    baseline or vice versa."""
+def find_baseline(path: Path) -> Optional[Path]:
+    """Resolve the baseline file: the path itself, or the newest
+    ``BENCH_*.json`` (by filename, which sorts by date) in a directory."""
     if path.is_file():
         return path
     if path.is_dir():
-        for candidate in sorted(path.glob("BENCH_*.json"), reverse=True):
-            try:
-                data = json.loads(candidate.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if data.get("engine", "object") == engine:
-                return candidate
+        candidates = sorted(path.glob("BENCH_*.json"))
+        if candidates:
+            return candidates[-1]
     return None
 
 
@@ -65,14 +58,6 @@ def compare(baseline: Dict, fresh: Dict, tolerance: float) -> List[str]:
     """Return a list of failure messages (empty = pass), printing a
     comparison table as a side effect."""
     failures: List[str] = []
-    base_engine = baseline.get("engine", "object")
-    fresh_engine = fresh.get("engine", "object")
-    if base_engine != fresh_engine:
-        print(
-            f"note: engine differs (baseline {base_engine}, fresh "
-            f"{fresh_engine}) — cross-engine comparison, not a "
-            "regression gate"
-        )
     if baseline.get("scale") != fresh.get("scale"):
         print(
             f"note: scale differs (baseline {baseline.get('scale')}, "
@@ -139,17 +124,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"check_bench: fresh result {args.fresh} not found")
         return 2
     fresh = load(args.fresh)
-    fresh_engine = fresh.get("engine", "object")
-    baseline_path = find_baseline(args.baseline, fresh_engine)
+    baseline_path = find_baseline(args.baseline)
     if baseline_path is None:
-        print(
-            f"check_bench: no BENCH_*.json baseline for engine "
-            f"{fresh_engine!r} under {args.baseline}"
-        )
+        print(f"check_bench: no BENCH_*.json baseline under {args.baseline}")
         return 2
 
     print(f"baseline: {baseline_path}")
-    print(f"fresh:    {args.fresh} (engine: {fresh_engine})")
+    print(f"fresh:    {args.fresh}")
     failures = compare(load(baseline_path), fresh, args.tolerance)
     if failures:
         print("\nFAIL:")

@@ -59,17 +59,16 @@ def main() -> int:
         get_workload(name, args.scale)
 
     # Environment header: nightly speedup numbers are only comparable
-    # across runners when the report says what hardware/engine ran.
+    # across runners when the report says what hardware ran.
     from repro.sim.parallel import resolve_start_method
     from repro.utils.buildinfo import buildinfo
 
     info = buildinfo()
-    engine = os.environ.get("REPRO_ENGINE") or "object"
     quiet = dict(out=lambda _s: None, scale=args.scale)
     lines = [
         f"parallel speedup @ scale={args.scale:g}, jobs={jobs}",
         f"env: cpus={os.cpu_count()}, "
-        f"start_method={resolve_start_method()}, engine={engine}, "
+        f"start_method={resolve_start_method()}, "
         f"python={info['python']}, rev={info['git_rev'] or '-'}, "
         f"host={info['hostname']}",
     ]

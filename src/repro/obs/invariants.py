@@ -20,7 +20,11 @@ it re-validates the structural invariants of the attached components:
   retired;
 * **recovery** — every ``RecoveryComplete`` event triggers a full
   device validation (mapping bijectivity across the mount scan) and the
-  recovered mapping count must match the FTL's live table.
+  recovered mapping count must match the FTL's live table;
+* **program conservation** — every flash program has one source:
+  ``flash.total_programs`` equals the FTL's host programs plus GC's
+  migrated pages plus the fault injector's rescued pages, at every
+  ``FlashWrite`` event and on ``close()``.
 
 On failure it raises :class:`InvariantViolation` carrying the offending
 event and the recent event trail, so the report shows *what the
@@ -139,7 +143,11 @@ class InvariantChecker:
                 self._fail(f"retired block {block} was erased", event)
         elif kind == "block_retired":
             self._check_block_retired(event)
-        elif self._retired and kind in ("flash_write", "gc_migrate"):
+        elif kind == "flash_write":
+            if self._retired:
+                self._check_program_target(event)
+            self._check_program_conservation(event)
+        elif kind == "gc_migrate" and self._retired:
             self._check_program_target(event)
         elif kind == "recovery_complete":
             self._check_recovery(event)
@@ -149,9 +157,10 @@ class InvariantChecker:
             self._check_device(event)
 
     def close(self) -> None:
-        """Final full validation (policy + device)."""
+        """Final full validation (policy + device + program sources)."""
         self._check_policy(None)
         self._check_device(None)
+        self._check_program_conservation(None)
 
     # ------------------------------------------------------------------
     def _fail(self, message: str, event: Optional[Event]) -> None:
@@ -207,6 +216,29 @@ class InvariantChecker:
         if block in self._retired:
             self._fail(
                 f"page {ppn} programmed into retired block {block}", event
+            )
+
+    def _check_program_conservation(self, event: Optional[Event]) -> None:
+        """``total_programs == host + GC migrated + rescued`` pages.
+
+        Not checked at ``gc_migrate`` events: GC and the bad-block
+        rescue add their counts only after ``migrate_block`` returns, so
+        the sum runs short while a migration is in flight.
+        """
+        controller = self.controller
+        if controller is None:
+            return
+        host = controller.ftl.stats.host_programs
+        migrated = controller.gc.stats.pages_migrated
+        faults = controller.faults
+        rescued = faults.rescued_pages if faults.enabled else 0
+        total = controller.flash.total_programs
+        if total != host + migrated + rescued:
+            self._fail(
+                f"program conservation violated: flash.total_programs {total} "
+                f"!= host programs {host} + GC migrated {migrated} "
+                f"+ rescued {rescued}",
+                event,
             )
 
     def _check_recovery(self, event: Event) -> None:

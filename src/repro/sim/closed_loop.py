@@ -20,6 +20,7 @@ which the test-suite checks.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from typing import Deque, Optional
 
@@ -27,7 +28,7 @@ from repro.core.policy import ReqBlockCache
 from repro.faults.injector import FaultInjector
 from repro.faults.powerloss import inject_power_loss
 from repro.faults.profile import get_profile
-from repro.sim.metrics import ReplayMetrics
+from repro.sim.metrics import ReplayMetrics, fold_eviction_digest
 from repro.sim.replay import (
     METADATA_SAMPLE_INTERVAL,
     ReplayConfig,
@@ -38,7 +39,7 @@ from repro.sim.replay import (
     resolve_tracer,
     sized_ssd_for,
 )
-from repro.ssd.controller import RequestRecord, SSDController
+from repro.ssd.controller import RequestRecord, SSDController, _tuple_new
 from repro.ssd.flash import FlashOutOfSpace
 from repro.traces.model import IORequest, Trace
 from repro.utils.validation import require_positive
@@ -89,6 +90,7 @@ def replay_closed_loop(
     )
     recorder, sampler = _resolve_recorder(config)
     accountant = _resolve_accountant(config)
+    digest = hashlib.sha256() if config.digest_evictions else None
     track_lists = config.log_lists and isinstance(policy, ReqBlockCache)
     last_index, last_time = -1, 0.0
 
@@ -127,12 +129,13 @@ def replay_closed_loop(
             while len(completions) > queue_depth:
                 completions.popleft()
         # Latency accounting from the *trace* arrival.
-        queued_record = RequestRecord(
-            response_ms=completion - request.time, outcome=record.outcome
-        )
+        outcome = record.outcome
+        queued_record = _tuple_new(RequestRecord, (completion - request.time, outcome))
         metrics.record(request, queued_record)
         if accountant is not None:
             accountant.record(request, queued_record)
+        if digest is not None and outcome.flushes:
+            fold_eviction_digest(digest, outcome.flushes)
         last_index, last_time = i, submit
         if recorder is not None:
             recorder.record(request, queued_record)
@@ -145,6 +148,8 @@ def replay_closed_loop(
     if sampler is not None and last_index >= 0:
         sampler.finalize(last_index, last_time)
         metrics.metrics_series = sampler.series
+    if digest is not None:
+        metrics.eviction_digest = digest.hexdigest()
     if accountant is not None:
         metrics.tenants = accountant.stats
     metrics.host_flush_pages = controller.flushed_pages

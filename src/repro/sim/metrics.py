@@ -38,6 +38,10 @@ __all__ = [
 #: and the telemetry snapshots land on the same request indices.
 LIST_LOG_INTERVAL = DEFAULT_SAMPLE_INTERVAL
 
+#: ``ReplayMetrics.record`` tests every request's op against this: one
+#: global load instead of a global plus an enum attribute load.
+_READ = OpType.READ
+
 
 def fold_eviction_digest(hasher: "hashlib._Hash", flushes: Iterable[FlushBatch]) -> None:
     """Fold one access's flush batches into an eviction-sequence hash.
@@ -48,10 +52,15 @@ def fold_eviction_digest(hasher: "hashlib._Hash", flushes: Iterable[FlushBatch])
     seed implementations, so replay digests are directly comparable to
     those goldens.  Order-sensitive by construction: any reordered,
     dropped, or recomposed batch changes the digest.
+
+    A one-page batch (LRU emits one per evicted page) is formatted
+    directly; the f-string is the same text as the ``repr``.
     """
     for batch in flushes:
         lpns = batch.lpns
-        if lpns:
+        if len(lpns) == 1:
+            hasher.update(f"(({lpns[0]!r},), {batch.pin_key!r})".encode())
+        elif lpns:
             hasher.update(repr((tuple(lpns), batch.pin_key)).encode())
 
 
@@ -261,15 +270,14 @@ class ReplayMetrics:
         the results stay bit-identical); this method runs once per
         request and the call overhead was visible in replay profiles.
         """
-        outcome = record.outcome
-        x = record.response_ms
+        x, outcome = record
         hits = outcome.page_hits
         total = hits + outcome.page_misses
         self.n_requests += 1
         pages = self.pages
         pages.hits += hits
         pages.total += total
-        if request.op is OpType.READ:
+        if request.op is _READ:
             side = self.read_pages
             rs = self.read_response_ms
         else:

@@ -33,7 +33,7 @@ from repro.sim.metrics import MetricsRecorder, ReplayMetrics, fold_eviction_dige
 from repro.sim.telemetry import make_emitter
 from repro.sim.tenant import TENANCY_MODES, TenantAccountant
 from repro.ssd.config import SSDConfig
-from repro.ssd.controller import RequestRecord, SSDController
+from repro.ssd.controller import RequestRecord, SSDController, _tuple_new
 from repro.ssd.flash import FlashOutOfSpace
 from repro.traces.model import PAGE_SIZE_BYTES, Trace
 from repro.traces.tenants import TenantMap
@@ -349,7 +349,7 @@ def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
             record_metrics(request, record)
             if accountant is not None:
                 accountant.record(request, record)
-            if digest is not None:
+            if digest is not None and record.outcome.flushes:
                 fold_eviction_digest(digest, record.outcome.flushes)
             if recorder is not None:
                 recorder.record(request, record)
@@ -478,16 +478,19 @@ def replay_cache_only(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
                     profiler.stop()
             if i < warmup:
                 continue
-            record = RequestRecord(response_ms=0.0, outcome=outcome)
+            record = _tuple_new(RequestRecord, (0.0, outcome))
             record_metrics(request, record)
             if accountant is not None:
                 accountant.record(request, record)
-            if digest is not None:
-                fold_eviction_digest(digest, outcome.flushes)
+            flushes = outcome.flushes
+            if flushes:
+                if digest is not None:
+                    fold_eviction_digest(digest, flushes)
+                for batch in flushes:
+                    flushed += len(batch.lpns)
             if recorder is not None:
                 recorder.record(request, record)
                 sampler.maybe_sample(i, request.time)
-            flushed += outcome.flushed_pages
             if not i % METADATA_SAMPLE_INTERVAL:
                 metadata_add(policy_metadata_bytes())
                 if telemetry is not None:

@@ -82,12 +82,20 @@ class RequestRecord(NamedTuple):
     """Timing and cache outcome of one serviced request.
 
     A ``NamedTuple`` rather than a frozen dataclass: one is built per
-    submitted request, and tuple construction skips the frozen
-    dataclass's ``object.__setattr__`` init entirely.
+    submitted request.  The per-request sites (``SSDController.submit``
+    and the replay loops) build it as
+    ``_tuple_new(RequestRecord, (response_ms, outcome))``, which skips
+    the keyword-parsing ``__new__`` that ``NamedTuple`` generates (more
+    than twice the cost); everything else calls the constructor.
     """
 
     response_ms: float
     outcome: AccessOutcome
+
+
+#: ``tuple.__new__``: builds a :class:`RequestRecord` positionally on
+#: the per-request paths.
+_tuple_new = tuple.__new__
 
 
 class SSDController:
@@ -321,7 +329,7 @@ class SSDController:
                 # touches the cache (no insertion, no eviction).
                 self.degraded.writes_rejected_requests += 1
                 self.degraded.writes_rejected_pages += request.npages
-                return RequestRecord(response_ms=0.0, outcome=AccessOutcome())
+                return _tuple_new(RequestRecord, (0.0, AccessOutcome()))
             self.degraded.reads_served += 1
         prof = self.profiler
         if not prof.enabled:
@@ -386,7 +394,7 @@ class SSDController:
                 )
                 if end > completion:
                     completion = end
-        return RequestRecord(response_ms=completion - now, outcome=outcome)
+        return _tuple_new(RequestRecord, (completion - now, outcome))
 
     def _read_profiled(self, lpns: List[int], now: float) -> float:
         """``ftl.read_batch(lpns, now)`` under the ``"read"`` profile

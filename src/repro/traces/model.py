@@ -31,7 +31,7 @@ class OpType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IORequest:
     """One block-level I/O request.
 
@@ -45,6 +45,13 @@ class IORequest:
         First logical page number touched.
     npages:
         Number of 4 KB pages covered (the paper's "request size").
+
+    The ``__init__`` is written out because one request is built per
+    trace record: it tests the bounds inline (the ``require_*``
+    validators run only to raise) and stores through the slot
+    descriptors, skipping the frozen dataclass's ``object.__setattr__``
+    calls and ``__post_init__``.  Equality, hashing, ``repr``, pickling
+    and :func:`dataclasses.replace` stay the generated ones.
     """
 
     time: float
@@ -52,10 +59,17 @@ class IORequest:
     lpn: int
     npages: int
 
-    def __post_init__(self) -> None:
-        require_non_negative(self.time, "time")
-        require_non_negative(self.lpn, "lpn")
-        require_positive(self.npages, "npages")
+    def __init__(self, time: float, op: OpType, lpn: int, npages: int) -> None:
+        if not time >= 0:
+            require_non_negative(time, "time")
+        if not lpn >= 0:
+            require_non_negative(lpn, "lpn")
+        if not npages > 0:
+            require_positive(npages, "npages")
+        _set_time(self, time)
+        _set_op(self, op)
+        _set_lpn(self, lpn)
+        _set_npages(self, npages)
 
     @property
     def is_write(self) -> bool:
@@ -102,6 +116,14 @@ class IORequest:
         first = start_byte // PAGE_SIZE_BYTES
         last = (end_byte + PAGE_SIZE_BYTES - 1) // PAGE_SIZE_BYTES
         return cls(time=time, op=op, lpn=first, npages=last - first)
+
+
+# Slot descriptors of the class ``@dataclass(slots=True)`` returned; the
+# frozen ``__setattr__`` rejects plain stores in ``IORequest.__init__``.
+_set_time = IORequest.__dict__["time"].__set__
+_set_op = IORequest.__dict__["op"].__set__
+_set_lpn = IORequest.__dict__["lpn"].__set__
+_set_npages = IORequest.__dict__["npages"].__set__
 
 
 class Trace:

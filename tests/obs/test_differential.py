@@ -17,6 +17,9 @@ BPLRU gets the same treatment from :class:`RefBPLRU`, an ``OrderedDict``
 of blocks written from the ``repro.cache.bplru`` docstring alone: the
 production policy's untraced ``access`` must report the reference's
 hits, misses, read misses and flush batches on every request.
+:class:`RefVBBMS` does the same for VBBMS from the ``repro.cache.vbbms``
+docstring: two ``OrderedDict`` regions of virtual blocks and a ``dict``
+of stream ends.
 """
 
 from __future__ import annotations
@@ -119,6 +122,57 @@ class RefBPLRU:
         return hits, misses, read_misses, flushes
 
 
+class RefVBBMS:
+    """Brute-force VBBMS: ``regions`` maps a name to ``(capacity, vb pages,
+    LRU?, OrderedDict(vbn -> pages))``, least recent or oldest block
+    first; ``streams`` holds stream ends in insertion order."""
+
+    def __init__(self, capacity: int, threshold: int, table_size: int) -> None:
+        random_cap = min(capacity - 1, max(1, int(capacity * 0.6)))
+        self.regions = {
+            "vbbms-random": (random_cap, 3, True, OrderedDict()),
+            "vbbms-seq": (capacity - random_cap, 4, False, OrderedDict()),
+        }
+        self.threshold, self.table_size = threshold, table_size
+        self.streams: dict = {}
+
+    def cached(self) -> set:
+        blocks = [b for _c, _v, _l, bs in self.regions.values() for b in bs.values()]
+        return set().union(*blocks)
+
+    def access(self, request: IORequest):
+        """``(hits, misses, read_miss_lpns, [(lpns, reason, pin_key)])``."""
+        hits = misses = 0
+        read_misses, flushes = [], []
+        if request.is_write:
+            is_seq = request.lpn in self.streams or request.npages >= self.threshold
+            self.streams.pop(request.lpn, None)
+            self.streams[request.end_lpn] = None
+            while len(self.streams) > self.table_size:
+                del self.streams[next(iter(self.streams))]
+            target = "vbbms-seq" if is_seq else "vbbms-random"
+        for lpn in request.pages():
+            hit = [r for r in self.regions.values() if lpn in r[3].get(lpn // r[1], ())]
+            if hit:
+                hits += 1
+                _cap, vb, lru, blocks = hit[0]
+                if lru:
+                    blocks.move_to_end(lpn // vb)
+                continue
+            misses += 1
+            if not request.is_write:
+                read_misses.append(lpn)
+                continue
+            cap, vb, lru, blocks = self.regions[target]
+            while sum(map(len, blocks.values())) >= cap:
+                lpns = sorted(blocks.popitem(last=False)[1])
+                flushes.append((lpns, f"{target}-capacity", None))
+            if lru and lpn // vb in blocks:
+                blocks.move_to_end(lpn // vb)
+            blocks.setdefault(lpn // vb, set()).add(lpn)
+        return hits, misses, read_misses, flushes
+
+
 def _decisions_from_events(tracer: CountingTracer, req_id: int) -> List[bool]:
     """Per-page hit/miss decisions of one request, from the event stream."""
     out = []
@@ -191,7 +245,7 @@ class TestDifferential:
         ~40-line dict+list model with no clever data structures."""
         import inspect
 
-        for reference in (RefWriteBuffer, RefBPLRU):
+        for reference in (RefWriteBuffer, RefBPLRU, RefVBBMS):
             source = inspect.getsource(reference)
             assert len(source.splitlines()) < 50, reference.__name__
 
@@ -264,3 +318,76 @@ class TestBPLRUDifferential:
             ([8, 9, 10, 11], "capacity", 2),
         ]
         assert read_misses == [8, 10, 11]
+
+
+def _run_vbbms(ops, capacity: int, threshold: int, table_size: int):
+    """Replay ``ops`` through ``VBBMSCache`` and :class:`RefVBBMS` in
+    lockstep; returns each request's hit count and every flush."""
+    policy = create_policy(
+        "vbbms", capacity, seq_threshold_pages=threshold, stream_table_size=table_size
+    )
+    reference = RefVBBMS(capacity, threshold, table_size)
+    hits, flushes = [], []
+    for i, (is_write, lpn, npages) in enumerate(ops):
+        request = IORequest(
+            time=float(i),
+            op=OpType.WRITE if is_write else OpType.READ,
+            lpn=lpn,
+            npages=npages,
+        )
+        outcome = policy.access(request)
+        got = (
+            outcome.page_hits,
+            outcome.page_misses,
+            list(outcome.read_miss_lpns),
+            [(list(f.lpns), f.reason, f.pin_key) for f in outcome.flushes],
+        )
+        expected = reference.access(request)
+        assert got == expected, f"vbbms diverged at request {i} ({request!r})"
+        assert set(policy.cached_lpns()) == reference.cached(), (
+            f"vbbms: contents diverged at request {i}"
+        )
+        hits.append(got[0])
+        flushes.extend(got[3])
+    policy.validate()
+    return hits, flushes
+
+
+class TestVBBMSDifferential:
+    @given(
+        ops=request_lists,
+        capacity=st.integers(2, 24),
+        threshold=st.integers(2, 6),
+        table_size=st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vbbms_matches_reference(self, ops, capacity, threshold, table_size):
+        _run_vbbms(ops, capacity, threshold, table_size)
+
+    def test_trim_cross_region_hit_and_both_regions_exercised(self):
+        """A fixed stream on a 6+4-page cache with a one-entry stream
+        table.
+
+        Writing LPN 30 trims stream end 1 from the table, so the later
+        write of LPN 1 is random and joins block 0, moving it to MRU.  A
+        random-classified write of LPNs 12-13 hits 12 in the sequential
+        region.  The sequential region evicts block 2, then the random
+        region evicts block 10 (LRU, since block 0 moved) and block 0
+        with both of its pages."""
+        ops = [
+            (True, 0, 1),  # random; stream ends {1}
+            (True, 30, 1),  # random; {31}: end 1 trimmed
+            (True, 1, 1),  # random (1 no longer tracked); block 0 to MRU
+            (True, 8, 4),  # sequential by size: block 2 fills the region
+            (True, 12, 1),  # sequential (continues 12): evicts block 2
+            (True, 12, 2),  # random: hits 12 in the sequential region
+            (True, 40, 3),  # random region full at 42: evicts block 10
+            (True, 50, 1),  # evicts block 0
+        ]
+        hits, flushes = _run_vbbms(ops, capacity=10, threshold=4, table_size=1)
+        assert hits == [0, 0, 0, 0, 0, 1, 0, 0]
+        assert flushes == [
+            ([8, 9, 10, 11], "vbbms-seq-capacity", None),
+            ([30], "vbbms-random-capacity", None),
+            ([0, 1], "vbbms-random-capacity", None),
+        ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.sim.closed_loop import replay_closed_loop
@@ -23,21 +25,19 @@ class TestClosedLoop:
     )
     def test_unbounded_equals_open_loop(self, tiny_trace, mapping_cache_bytes):
         """Unbounded queue depth is open-loop replay: every summary key,
-        the utilisation fields and the mapping-cache configuration match."""
-        open_loop = replay_trace(
-            tiny_trace, cfg(mapping_cache_bytes=mapping_cache_bytes)
-        )
-        closed = replay_closed_loop(
-            tiny_trace,
-            cfg(mapping_cache_bytes=mapping_cache_bytes),
-            queue_depth=None,
-        )
+        the utilisation fields, the eviction digest and the mapping-cache
+        configuration match."""
+        config = cfg(mapping_cache_bytes=mapping_cache_bytes, digest_evictions=True)
+        open_loop = replay_trace(tiny_trace, config)
+        closed = replay_closed_loop(tiny_trace, config, queue_depth=None)
         want, got = open_loop.summary(), closed.summary()
         for key in RESPONSE_KEYS:
             assert got.pop(key) == pytest.approx(want.pop(key)), key
         assert got == want
         assert closed.max_plane_utilisation == open_loop.max_plane_utilisation
         assert closed.mean_bus_utilisation == open_loop.mean_bus_utilisation
+        assert closed.eviction_digest == open_loop.eviction_digest
+        assert closed.eviction_digest not in ("", hashlib.sha256().hexdigest())
 
     def test_bounded_qd_never_faster(self, tiny_trace):
         deep = replay_closed_loop(tiny_trace, cfg(), queue_depth=64)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.base import AccessOutcome, FlushBatch
-from repro.sim.metrics import ReplayMetrics
+from repro.sim.metrics import ReplayMetrics, fold_eviction_digest
 from repro.ssd.controller import RequestRecord
 from tests.conftest import R, W
 
@@ -69,3 +73,34 @@ class TestRecording:
         assert s["requests"] == 1
         for key in ("mean_response_ms", "evictions", "flash_total_writes"):
             assert key in s
+
+
+#: Flush lists mixing empty, one-page and multi-page batches, unpinned
+#: and pinned (BPLRU pins a batch to its block number).
+flush_lists = st.lists(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 10**12), max_size=5),
+            st.none() | st.integers(-3, 10**6),
+        ),
+        max_size=6,
+    ),
+    max_size=8,
+)
+
+
+class TestEvictionDigest:
+    @given(accesses=flush_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_literal_repr_encoding(self, accesses):
+        """The fold hashes ``repr((tuple(lpns), pin_key))`` per non-empty
+        batch, in order -- the encoding of the seed goldens."""
+        folded, literal = hashlib.sha256(), hashlib.sha256()
+        for batches in accesses:
+            fold_eviction_digest(
+                folded, [FlushBatch(list(lpns), pin_key=pin) for lpns, pin in batches]
+            )
+            for lpns, pin in batches:
+                if lpns:
+                    literal.update(repr((tuple(lpns), pin)).encode())
+        assert folded.hexdigest() == literal.hexdigest()

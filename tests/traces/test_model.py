@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import pickle
+
 import pytest
 
 from repro.traces.model import IORequest, OpType, Trace
@@ -31,8 +35,28 @@ class TestIORequest:
 
     def test_frozen(self):
         r = W(0, 1)
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             r.lpn = 5  # type: ignore[misc]
+
+    def test_validation_messages_and_nan(self):
+        with pytest.raises(ValueError, match="time must be non-negative, got -1.0"):
+            IORequest(-1.0, OpType.READ, 0, 1)
+        with pytest.raises(ValueError, match="npages must be positive, got nan"):
+            IORequest(0.0, OpType.READ, 0, math.nan)
+        # A NaN time is not negative: accepted, as by require_non_negative.
+        assert math.isnan(IORequest(math.nan, OpType.READ, 0, 1).time)
+
+    def test_replace_validates(self):
+        r = IORequest(2.0, OpType.WRITE, 10, 4)
+        assert dataclasses.replace(r, lpn=3) == IORequest(2.0, OpType.WRITE, 3, 4)
+        with pytest.raises(ValueError, match="time"):
+            dataclasses.replace(r, time=-1.0)
+
+    def test_pickle_round_trip(self):
+        r = IORequest(2.5, OpType.READ, 7, 3)
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and hash(back) == hash(r)
+        assert repr(back) == repr(r)
 
     class TestFromSectors:
         def test_aligned(self):

@@ -30,6 +30,7 @@ from repro.cache.registry import PAPER_COMPARISON, available_policies
 from repro.experiments.common import (
     add_resilience_args,
     finish_experiment,
+    positive_int,
     settings_from_args,
     supervision_from_args,
 )
@@ -283,7 +284,7 @@ def _replay_sharded_cmd(
     tenant_map: Optional[Any] = None,
     tenant_weights: Optional[Tuple[float, ...]] = None,
 ) -> int:
-    """``replay --jobs N``: segment-shard one trace across workers.
+    """``replay --jobs N`` / ``--shards M``: segment-shard one trace.
 
     Trace-segment sharding replays independent slices on cold caches
     and merges the metrics (deterministic for a fixed shard count, but
@@ -305,8 +306,8 @@ def _replay_sharded_cmd(
     ]
     if incompatible:
         print(
-            f"--jobs shards the trace into independent segments and is "
-            f"incompatible with {', '.join(incompatible)} "
+            f"--jobs/--shards shard the trace into independent segments "
+            f"and are incompatible with {', '.join(incompatible)} "
             f"(see docs/parallel.md)",
             file=sys.stderr,
         )
@@ -357,6 +358,7 @@ def _replay_sharded_cmd(
             "fault_seed": args.fault_seed,
             "jobs": jobs,
             "shards": n_shards,
+            "approximation": "cold-cache segments",
             "tenants": tenant_map.n_tenants if tenant_map else None,
             "tenancy": args.tenancy,
         },
@@ -401,10 +403,10 @@ def _replay_sharded_cmd(
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    if _wants_supervision(args) and args.jobs is None:
+    if _wants_supervision(args) and args.jobs is None and args.shards is None:
         print(
             "--max-retries/--shard-timeout/--checkpoint/--resume/--salvage "
-            "supervise the sharded engine and require --jobs "
+            "supervise the sharded engine and require --jobs or --shards "
             "(use --jobs 1 for one supervised worker)",
             file=sys.stderr,
         )
@@ -419,7 +421,9 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     cache_bytes = scaled_cache_bytes(args.cache_mb, args.scale)
-    if args.jobs is not None and (args.jobs != 1 or _wants_supervision(args)):
+    if args.shards is not None or (
+        args.jobs is not None and (args.jobs != 1 or _wants_supervision(args))
+    ):
         return _replay_sharded_cmd(
             args, trace, cache_bytes, tenant_map, tenant_weights
         )
@@ -1050,15 +1054,16 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: open loop at trace timestamps)",
     )
     p.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
+        "--jobs", "-j", type=positive_int, default=None, metavar="N",
         help="segment-shard the trace across N worker processes and "
              "merge the metrics (deterministic per shard count; hit "
              "ratios approximate near segment boundaries — see "
-             "docs/parallel.md; default: unsharded single process)",
+             "docs/parallel.md; default: unsharded single process, "
+             "or all cores with --shards)",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="M",
-        help="number of trace segments for --jobs (default: N, one "
+        "--shards", type=positive_int, default=None, metavar="M",
+        help="segment-shard the trace into M segments (default: N, one "
              "per worker; results depend on M but never on N)",
     )
     p.add_argument(
@@ -1113,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a wall-clock phase-profile table per policy",
     )
     p.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
+        "--jobs", "-j", type=positive_int, default=None, metavar="N",
         help="replay the policies in N worker processes (results "
              "byte-identical to the serial path; incompatible with "
              "--profile; default: serial)",
@@ -1138,12 +1143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument("--workloads", nargs="+", default=list(WORKLOAD_ORDER))
     p.add_argument(
-        "--jobs", "-j", dest="processes", type=int, default=None, metavar="N",
+        "--jobs", "-j", dest="processes", type=positive_int, default=None, metavar="N",
         help="worker processes for the experiment grid "
              "(default: all cores; 1 = inline)",
     )
     p.add_argument(
-        "--processes", dest="processes", type=int, default=None,
+        "--processes", dest="processes", type=positive_int, default=None,
         help=argparse.SUPPRESS,  # legacy spelling of --jobs
     )
     p.add_argument(

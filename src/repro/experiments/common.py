@@ -30,6 +30,7 @@ __all__ = [
     "run_grid",
     "add_standard_args",
     "add_resilience_args",
+    "positive_int",
     "supervision_from_args",
     "settings_from_args",
     "finish_experiment",
@@ -156,6 +157,17 @@ def run_grid(
     return dict(zip(keys, results))
 
 
+def positive_int(text: str) -> int:
+    """argparse type of worker and segment counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def add_standard_args(parser: argparse.ArgumentParser) -> None:
     """Attach the scale/workloads/processes options every experiment shares."""
     parser.add_argument(
@@ -175,7 +187,7 @@ def add_standard_args(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         "-j",
         dest="processes",
-        type=int,
+        type=positive_int,
         default=None,
         help="worker processes for the experiment grid "
         "(default: all cores; 1 = inline)",
@@ -183,7 +195,7 @@ def add_standard_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--processes",
         dest="processes",
-        type=int,
+        type=positive_int,
         default=None,
         help=argparse.SUPPRESS,  # legacy spelling of --jobs
     )

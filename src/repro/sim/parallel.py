@@ -6,8 +6,9 @@ work that previously only the sweep module fanned out, with a
 hard-coded ``fork`` start method and no error reporting.  This module
 is the general engine underneath all of it:
 
-* :func:`run_shards` — run a picklable worker over a payload list on a
-  process pool, returning results **in payload order** regardless of
+* :func:`run_shards` — run a worker over a payload list on a process
+  pool (forked workers inherit both; spawned ones receive them
+  pickled), returning results **in payload order** regardless of
   worker completion order.  ``jobs=1`` bypasses the pool entirely and
   runs the exact legacy serial path.  Worker failures surface as a
   :class:`ShardError` carrying the shard index and the worker's
@@ -43,14 +44,13 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.metrics import ReplayMetrics, merge_metrics
 from repro.sim.progress import EtaTracker, ProgressCallback
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
-from repro.traces.io import trace_columns, trace_from_columns
 from repro.traces.model import Trace
 
 __all__ = [
@@ -202,6 +202,28 @@ def _run_shard(task: Tuple[Callable[[Any], Any], int, Any]) -> Tuple[int, str, A
         return index, _FAILED, traceback.format_exc()
 
 
+#: ``(worker, payloads)`` of the fork-started pool this process serves,
+#: set by :func:`_install_shards`; never set in the parent.
+_installed: Optional[Tuple[Callable[[Any], Any], List[Any]]] = None
+
+
+def _install_shards(worker: Callable[[Any], Any], payloads: List[Any]) -> None:
+    """Pool initializer under ``fork``.
+
+    Initializer arguments reach a forked worker in the memory it
+    inherits from the parent, so neither the worker nor any payload is
+    pickled; the task queue then carries shard indices only.
+    """
+    global _installed
+    _installed = (worker, payloads)
+
+
+def _run_installed(index: int) -> Tuple[int, str, Any]:
+    """Pool task under ``fork``: run shard ``index`` of the installed list."""
+    worker, payloads = _installed
+    return _run_shard((worker, index, payloads[index]))
+
+
 def run_shards(
     worker: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -211,8 +233,11 @@ def run_shards(
 ) -> List[Any]:
     """Run ``worker`` over ``payloads``; results in payload order.
 
-    ``worker`` and every payload must be picklable (a module-level
-    function and by-value job specs, as in ``repro.sim.sweep``).  With
+    Under ``fork`` the pool's workers inherit ``worker`` and the payload
+    list, and only shard indices cross the task queue.  Under ``spawn``
+    and ``forkserver`` each task carries its payload, so ``worker`` and
+    every payload must be picklable (a module-level function and
+    by-value job specs, as in ``repro.sim.sweep``).  With
     ``jobs=1`` the pool is skipped entirely: payloads run inline, in
     order, with exceptions propagating raw — exactly the legacy serial
     path.  With ``jobs>1`` results are collected as workers finish
@@ -244,13 +269,20 @@ def run_shards(
             results.append(worker(payload))
             _mark(i)
         return results
-    ctx = get_context(resolve_start_method(start_method))
-    tasks = [(worker, i, payload) for i, payload in enumerate(payloads)]
+    method = resolve_start_method(start_method)
+    ctx = get_context(method)
+    if method == "fork":
+        pool = ctx.Pool(jobs, _install_shards, (worker, payloads))
+        run, tasks = _run_installed, range(n)
+    else:
+        # A fresh interpreter inherits nothing: each task carries its
+        # payload, so every payload is pickled once, for one worker.
+        pool = ctx.Pool(jobs)
+        run, tasks = _run_shard, [(worker, i, p) for i, p in enumerate(payloads)]
     results = [None] * n
-    pool = ctx.Pool(jobs)
     try:
         with _sigterm_as_interrupt():
-            for index, status, value in pool.imap_unordered(_run_shard, tasks):
+            for index, status, value in pool.imap_unordered(run, tasks):
                 if status == _FAILED:
                     raise ShardError(index, payloads[index], value)
                 if status == _INTERRUPTED:
@@ -339,10 +371,7 @@ def plan_segments(
 def shard_trace(trace: Trace, n_shards: int, base_seed: int = 0) -> List[Trace]:
     """Split a trace into the sub-traces of :func:`plan_segments`."""
     plan = plan_segments(len(trace), n_shards, base_seed)
-    return [
-        Trace(f"{trace.name}[{s.start}:{s.stop}]", trace.requests[s.start : s.stop])
-        for s in plan.shards
-    ]
+    return [trace.segment(s.start, s.stop) for s in plan.shards]
 
 
 #: ReplayConfig fields that cannot cross the process boundary or whose
@@ -371,11 +400,10 @@ def _check_shardable(config: ReplayConfig) -> None:
 
 
 def _replay_segment(
-    payload: Tuple[str, Dict[str, np.ndarray], ReplayConfig, ShardSpec, bool],
+    payload: Tuple[str, Trace, ReplayConfig, ShardSpec, bool],
 ) -> ReplayMetrics:
     """Worker: replay one trace segment on a fresh cache/device."""
-    name, columns, config, spec, cache_only = payload
-    trace = trace_from_columns(name, columns)
+    _name, trace, config, spec, cache_only = payload
     shard_config = replace(config, fault_seed=spec.seed)
     runner = replay_cache_only if cache_only else replay_trace
     return runner(trace, shard_config)
@@ -435,19 +463,13 @@ def replay_sharded(
     if n_shards is None:
         n_shards = resolve_jobs(jobs, len(trace))
     plan = plan_segments(len(trace), n_shards, config.fault_seed)
-    # Segments travel as the four ``.npz`` columns (repro.traces.io):
-    # pickling them costs a few buffer copies, where a tuple of request
-    # objects costs a reduce/rebuild per request in each direction.
-    payloads = [
-        (
-            f"{trace.name}[{s.start}:{s.stop}]",
-            trace_columns(trace.requests[s.start : s.stop]),
-            config,
-            s,
-            cache_only,
-        )
-        for s in plan.shards
-    ]
+    # Forked workers inherit the segments; where a payload is pickled
+    # (spawn and forkserver tasks, checkpoint digests) a segment travels
+    # as its four trace columns (``Trace.__reduce__``).
+    payloads = []
+    for s in plan.shards:
+        segment = trace.segment(s.start, s.stop)
+        payloads.append((segment.name, segment, config, s, cache_only))
     supervised = (
         supervision is not None
         or checkpoint_path is not None

@@ -8,9 +8,9 @@ round-trips any :class:`Trace` through a compact columnar ``.npz``
 
 The same four columns are the in-memory wire format of a trace:
 :func:`trace_columns` / :func:`trace_from_columns` convert requests to
-and from them, and :func:`repro.sim.parallel.replay_sharded` ships each
-segment to its worker that way (four array buffers pickle in
-microseconds; tens of thousands of request objects do not).
+and from them, and a pickled :class:`Trace` is its columns
+(``Trace.__reduce__``) — four array buffers pickle in microseconds;
+tens of thousands of request objects do not.
 
 ``cached_workload`` wraps the named paper workloads with a disk cache
 keyed by (name, scale).

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -132,6 +132,10 @@ class Trace:
     Thin wrapper over a list so replay code can iterate it repeatedly,
     slice it, and attach a name for reporting.  Requests must be sorted
     by arrival time (enforced on construction).
+
+    A trace pickles as the four columns of :mod:`repro.traces.io`
+    (``trace_columns``) and unpickles through ``trace_from_columns``,
+    so the requests and the sort order are validated on load.
     """
 
     __slots__ = ("name", "_requests")
@@ -146,6 +150,12 @@ class Trace:
                     f"({b.time} after {a.time})"
                 )
         self._requests = reqs
+
+    def __reduce__(self) -> Tuple[Callable[..., "Trace"], Tuple[Any, ...]]:
+        # Lazy import: repro.traces.io imports this module.
+        from repro.traces.io import trace_columns, trace_from_columns
+
+        return (trace_from_columns, (self.name, trace_columns(self._requests)))
 
     def __len__(self) -> int:
         return len(self._requests)
@@ -167,6 +177,17 @@ class Trace:
     def head(self, n: int) -> "Trace":
         """A new trace containing only the first ``n`` requests."""
         return Trace(f"{self.name}[:{n}]", self._requests[:n])
+
+    def segment(self, start: int, stop: int) -> "Trace":
+        """Requests ``[start, stop)`` as a trace named ``name[start:stop]``.
+
+        A slice of a sorted trace is sorted, so the sort check of the
+        constructor is not run again.
+        """
+        seg = Trace.__new__(Trace)
+        seg.name = f"{self.name}[{start}:{stop}]"
+        seg._requests = self._requests[start:stop]
+        return seg
 
     def writes(self) -> Iterable[IORequest]:
         """The write requests, in order."""

@@ -50,6 +50,17 @@ class TestArgparseHelpers:
         assert s.workloads == ["hm_1", "ts_0"]
         assert s.processes == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["--jobs", "0"], ["-j", "-2"], ["--processes", "0"]]
+    )
+    def test_rejects_nonpositive_worker_count(self, argv, capsys):
+        parser = argparse.ArgumentParser()
+        add_standard_args(parser)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_rejects_unknown_workload(self):
         parser = argparse.ArgumentParser()
         add_standard_args(parser)

@@ -201,6 +201,20 @@ class TestCliIntegration:
         assert doc["summary"]["hit_ratio"] > 0
         capsys.readouterr()
 
+    def test_sharded_manifest_is_labelled_approximate(self, tmp_path, capsys):
+        runs = tmp_path / "ledger"
+        base = ["replay", "ts_0", "--scale", SCALE, "--policy", "lru",
+                "--runs-dir", str(runs)]
+        assert main(base) == 0
+        assert main([*base, "--jobs", "2", "--shards", "4"]) == 0
+        docs = {doc["config"].get("shards"): doc for doc in list_runs(str(runs))}
+        assert "approximation" not in docs[None]["config"]
+        assert docs[4]["config"]["approximation"] == "cold-cache segments"
+        run_id = docs[4]["run_id"]
+        capsys.readouterr()
+        assert main(["report", run_id, "--runs-dir", str(runs)]) == 0
+        assert "approximation=cold-cache segments" in capsys.readouterr().out
+
     def test_no_ledger_opts_out(self, tmp_path, capsys):
         runs = tmp_path / "ledger"
         rc = main(

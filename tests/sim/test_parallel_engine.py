@@ -24,7 +24,9 @@ from repro.sim.parallel import (
     shard_trace,
 )
 from repro.sim.replay import ReplayConfig
+from repro.sim.supervisor import Supervision
 from repro.sim.sweep import SweepJob, run_jobs
+from repro.traces import io
 from repro.traces.model import IORequest, OpType, Trace
 from repro.traces.workloads import get_workload
 
@@ -37,6 +39,11 @@ BOTH_START_METHODS = pytest.mark.parametrize(
     ],
 )
 
+FORK_ONLY = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+
 
 # Workers must be module-level so they pickle under both start methods.
 def _double(x):
@@ -46,6 +53,20 @@ def _double(x):
 def _describe(payload):
     index, value = payload
     return f"shard-{index}:{value * value}"
+
+
+class _Unpicklable:
+    """A payload that fails the moment anything tries to pickle it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("this payload must not be pickled")
+
+
+def _square(payload):
+    return payload.value * payload.value
 
 
 class TestResolveStartMethod:
@@ -117,12 +138,20 @@ class TestRunShards:
         pooled = run_shards(_double, payloads, jobs=2, start_method=start_method)
         assert pooled == inline
 
+    @FORK_ONLY
+    def test_fork_never_pickles_a_payload(self):
+        """Forked workers inherit the payload list; the task queue
+        carries shard indices only."""
+        payloads = [_Unpicklable(i) for i in range(6)]
+        got = run_shards(_square, payloads, jobs=2, start_method="fork")
+        assert got == [i * i for i in range(6)]
+
 
 class TestReplayShardedStartMethods:
-    """Segments ship to workers as trace columns.  Rebuilt in forked
-    workers or in spawned ones (a fresh interpreter that re-imports
-    numpy and the package), the merged replay matches the inline one
-    byte for byte."""
+    """Forked workers replay the segments they inherit; spawned ones (a
+    fresh interpreter that re-imports numpy and the package) rebuild
+    them from trace columns.  Either way the merged replay matches the
+    inline one byte for byte."""
 
     @BOTH_START_METHODS
     @pytest.mark.parametrize("cache_only", [True, False], ids=["cache_only", "full"])
@@ -145,6 +174,36 @@ class TestReplayShardedStartMethods:
         assert inline.eviction_digest
         assert pooled.summary() == inline.summary()
         assert pooled.eviction_digest == inline.eviction_digest
+
+    @FORK_ONLY
+    @pytest.mark.parametrize(
+        "supervision", [None, Supervision(max_retries=0)], ids=["pool", "supervised"]
+    )
+    def test_forked_workers_never_rebuild_a_segment(self, monkeypatch, supervision):
+        """A forked worker replays the segment it inherited: with the
+        column codec's rebuild disabled, the result still matches."""
+        trace = get_workload("ts_0", 1 / 256)
+        config = ReplayConfig(
+            policy="reqblock", cache_bytes=64 * 4096, digest_evictions=True
+        )
+        reference = replay_sharded(trace, config, n_shards=4, jobs=1, cache_only=True)
+
+        def no_rebuild(name, _columns):
+            raise AssertionError(f"segment {name} was rebuilt from columns")
+
+        monkeypatch.setattr(io, "trace_from_columns", no_rebuild)
+        monkeypatch.setattr(parallel, "trace_from_columns", no_rebuild, raising=False)
+        forked = replay_sharded(
+            trace,
+            config,
+            n_shards=4,
+            jobs=2,
+            start_method="fork",
+            cache_only=True,
+            supervision=supervision,
+        )
+        assert forked.summary() == reference.summary()
+        assert forked.eviction_digest == reference.eviction_digest
 
 
 class TestPlanSegments:

@@ -242,6 +242,38 @@ class TestParallelCli:
               "--jobs", "1"])
         assert capsys.readouterr().out == plain
 
+    def test_shards_shard_the_replay_whatever_the_jobs(self, capsys):
+        """--shards M alone, with --jobs 1, or supervised without
+        --jobs, replays M segments: the summary equals --jobs 2's, and
+        only the footer names the worker count."""
+        base = ["replay", "ts_0", "--scale", SCALE, "--policy", "reqblock"]
+        tables = []
+        for extra in (["--jobs", "2"], ["--jobs", "1"], [], ["--max-retries", "0"]):
+            assert main([*base, *extra, "--shards", "4"]) == 0
+            out = capsys.readouterr().out
+            assert "[sharded replay: 4 segments" in out
+            tables.append(out.split("[sharded replay:")[0])
+        assert tables[1:] == [tables[0]] * 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "ts_0", "--jobs", "0"],
+            ["replay", "ts_0", "--jobs", "-3"],
+            ["replay", "ts_0", "--jobs", "2", "--shards", "0"],
+            ["compare", "ts_0", "--jobs", "0"],
+            ["experiment", "fig10", "--jobs", "0"],
+        ],
+        ids=["replay-jobs-0", "replay-jobs-neg", "replay-shards-0",
+             "compare-jobs-0", "experiment-jobs-0"],
+    )
+    def test_nonpositive_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        flag = argv[-2]
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_replay_sharded_rejects_tracer(self, tmp_path, capsys):
         rc = main(
             ["replay", "ts_0", "--scale", SCALE, "--jobs", "2",

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.traces import io
 from repro.traces.io import (
     cached_workload,
     load_trace,
@@ -93,6 +95,45 @@ class TestColumns:
         columns["time"][:] = columns["time"][::-1].copy()
         with pytest.raises(ValueError, match="not sorted"):
             trace_from_columns("unsorted", columns)
+
+
+class TestTracePickle:
+    """A pickled trace is its four columns, rebuilt by the codec."""
+
+    def test_round_trip(self, monkeypatch):
+        requests = [W(2**31 + 7, 4, t=1 / 3), R(2**40, 1, t=0.5), W(0, 1, t=1e6 / 7)]
+        blob = pickle.dumps(Trace("t", requests))
+        rebuilt = []
+        real = io.trace_from_columns
+
+        def spy(name, columns):
+            rebuilt.append(name)
+            return real(name, columns)
+
+        monkeypatch.setattr(io, "trace_from_columns", spy)
+        back = pickle.loads(blob)
+        assert rebuilt == ["t"]
+        assert back.name == "t"
+        assert back.requests == requests
+        assert [r.time.hex() for r in back] == [r.time.hex() for r in requests]
+
+    @pytest.mark.parametrize(
+        "column, values, match",
+        [("npages", [0, 1], "npages"), ("time", [2.0, 1.0], "not sorted")],
+        ids=["bad-request", "unsorted"],
+    )
+    def test_load_validates(self, monkeypatch, column, values, match):
+        real = io.trace_columns
+
+        def corrupt(requests):
+            columns = real(requests)
+            columns[column][:] = values
+            return columns
+
+        monkeypatch.setattr(io, "trace_columns", corrupt)
+        blob = pickle.dumps(Trace("bad", [W(0, 1, t=1.0), W(1, 1, t=2.0)]))
+        with pytest.raises(ValueError, match=match):
+            pickle.loads(blob)
 
 
 class TestFormatVersion1:

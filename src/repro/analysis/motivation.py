@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.cache.base import AccessOutcome
 from repro.cache.lru import LRUCache
 from repro.traces.model import Trace
 from repro.traces.stats import mean_request_pages
@@ -98,6 +99,13 @@ class _InstrumentedLRU(LRUCache):
         self.insert_size[lpn] = request.npages
         self.was_hit[lpn] = False
 
+    def _evict_one(self, outcome: AccessOutcome) -> None:
+        super()._evict_one(outcome)
+        # An LRU eviction flushes exactly one page: forget it.
+        victim = outcome.flushes[-1].lpns[0]
+        self.insert_size.pop(victim, None)
+        self.was_hit.pop(victim, None)
+
 
 def analyze_motivation(
     trace: Trace, cache_pages: int = 4096
@@ -127,14 +135,9 @@ def analyze_motivation(
                         stats.small_pages_hit += 1
                 cache._on_hit(lpn, request)
             elif request.is_write:
-                from repro.cache.base import AccessOutcome
-
                 outcome = AccessOutcome()
                 while cache.occupancy() >= cache.capacity_pages:
-                    victim_lpn = cache._list.tail.lpn  # type: ignore[union-attr]
                     cache._evict_one(outcome)
-                    cache.insert_size.pop(victim_lpn, None)
-                    cache.was_hit.pop(victim_lpn, None)
                 cache._insert(lpn, request, outcome)
                 stats.insert_cdf.add(request.npages)
                 if request.npages > boundary:

@@ -3,9 +3,9 @@
 Block-level LRU over 64-page SSD blocks with two signature mechanisms:
 
 * **LRU compensation** — a block whose pages were written sequentially
-  (in ascending order, ending at the block boundary) is moved to the LRU
-  *tail*, because sequentially written data is unlikely to be rewritten
-  soon;
+  (in ascending order, ending at the block boundary) is moved to the
+  LRU (eviction) end, because sequentially written data is unlikely to
+  be rewritten soon;
 * **single-block flush** — an evicted block's pages are flushed onto one
   physical SSD block (the RAM buffer is block-mapped).  The controller
   honours this via ``FlushBatch.pin_key``, which is the paper's
@@ -22,20 +22,19 @@ controller reads them from flash before it programs the padded block.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, Set
 
 from repro.cache.base import AccessOutcome, FlushBatch, WriteBufferPolicy
 from repro.traces.model import IORequest, OpType
-from repro.utils.dll import DLLNode, DoublyLinkedList
 
 __all__ = ["BPLRUCache"]
 
 
-class _BPLRUBlock(DLLNode):
+class _BPLRUBlock:
     __slots__ = ("lbn", "pages", "last_offset", "in_order")
 
     def __init__(self, lbn: int) -> None:
-        super().__init__()
         self.lbn = lbn
         self.pages: Set[int] = set()
         self.last_offset = -1  # offset of the most recently inserted page
@@ -57,8 +56,10 @@ class BPLRUCache(WriteBufferPolicy):
         super().__init__(capacity_pages)
         self.pages_per_block = pages_per_block
         self.page_padding = page_padding
-        self._list: DoublyLinkedList[_BPLRUBlock] = DoublyLinkedList("bplru")
-        self._blocks: Dict[int, _BPLRUBlock] = {}
+        #: Block number -> block, in recency order with the eviction end
+        #: first (``move_to_end`` promotes, ``move_to_end(lbn,
+        #: last=False)`` demotes, ``popitem(last=False)`` evicts).
+        self._blocks: "OrderedDict[int, _BPLRUBlock]" = OrderedDict()
         self._page_index: Dict[int, _BPLRUBlock] = {}
 
     # ------------------------------------------------------------------
@@ -89,10 +90,7 @@ class BPLRUCache(WriteBufferPolicy):
         index_get = page_index.get
         blocks = self._blocks
         blocks_get = blocks.get
-        lst = self._list
-        move_to_head = lst.move_to_head
-        push_head = lst.push_head
-        move_to_tail = lst.move_to_tail
+        move_to_end = blocks.move_to_end
         evict_one = self._evict_one
         ppb = self.pages_per_block
         capacity = self.capacity_pages
@@ -107,7 +105,7 @@ class BPLRUCache(WriteBufferPolicy):
                 # A rewrite breaks the "written once, sequentially"
                 # pattern, so the block rejoins the MRU end.
                 block.in_order = False
-                move_to_head(block)
+                move_to_end(block.lbn)
             elif is_write:
                 misses += 1
                 while occ >= capacity:
@@ -121,11 +119,10 @@ class BPLRUCache(WriteBufferPolicy):
                 if block is None:
                     block = _BPLRUBlock(lbn)
                     blocks[lbn] = block
-                    push_head(block)
                 else:
                     if offset != block.last_offset + 1:
                         block.in_order = False
-                    move_to_head(block)
+                    move_to_end(lbn)
                 block.pages.add(lpn)
                 block.last_offset = offset
                 page_index[lpn] = block
@@ -138,7 +135,7 @@ class BPLRUCache(WriteBufferPolicy):
                     and offset == ppb - 1
                     and len(block.pages) == ppb
                 ):
-                    move_to_tail(block)
+                    move_to_end(lbn, last=False)
             else:
                 misses += 1
                 read_misses.append(lpn)
@@ -153,7 +150,7 @@ class BPLRUCache(WriteBufferPolicy):
         # A rewrite breaks the "written once, sequentially" pattern, so
         # the block rejoins the MRU end like any hot block.
         block.in_order = False
-        self._list.move_to_head(block)
+        self._blocks.move_to_end(block.lbn)
 
     def _insert(self, lpn: int, request: IORequest, outcome: AccessOutcome) -> None:
         lbn, offset = divmod(lpn, self.pages_per_block)
@@ -161,11 +158,10 @@ class BPLRUCache(WriteBufferPolicy):
         if block is None:
             block = _BPLRUBlock(lbn)
             self._blocks[lbn] = block
-            self._list.push_head(block)
         else:
             if offset != block.last_offset + 1:
                 block.in_order = False
-            self._list.move_to_head(block)
+            self._blocks.move_to_end(lbn)
         block.pages.add(lpn)
         block.last_offset = offset
         self._page_index[lpn] = block
@@ -177,15 +173,13 @@ class BPLRUCache(WriteBufferPolicy):
             and offset == self.pages_per_block - 1
             and len(block.pages) == self.pages_per_block
         ):
-            self._list.move_to_tail(block)
+            self._blocks.move_to_end(lbn, last=False)
 
     def _evict_one(self, outcome: AccessOutcome) -> None:
-        victim = self._list.pop_tail()
-        assert victim is not None, "evict called on empty cache"
+        victim = self._blocks.popitem(last=False)[1]
         lpns = sorted(victim.pages)
         for lpn in lpns:
             del self._page_index[lpn]
-        del self._blocks[victim.lbn]
         self._occupancy -= len(lpns)
         if self.page_padding and len(lpns) < self.pages_per_block:
             base = victim.lbn * self.pages_per_block
@@ -207,7 +201,6 @@ class BPLRUCache(WriteBufferPolicy):
     def flush_all(self) -> FlushBatch:
         """Drain the cache; returns one batch of the dirty pages."""
         lpns = sorted(self._page_index.keys())
-        self._list.clear()
         self._blocks.clear()
         self._page_index.clear()
         self._occupancy = 0
@@ -216,14 +209,12 @@ class BPLRUCache(WriteBufferPolicy):
     def validate(self) -> None:
         """Check structural invariants (tests); see CachePolicy."""
         super().validate()
-        self._list.validate()
         total = 0
-        for block in self._list:
-            assert self._blocks[block.lbn] is block
-            assert block.pages, f"empty block {block.lbn} retained in list"
+        for lbn, block in self._blocks.items():
+            assert block.lbn == lbn, f"block {block.lbn} filed under {lbn}"
+            assert block.pages, f"empty block {lbn} retained in list"
             for lpn in block.pages:
-                assert lpn // self.pages_per_block == block.lbn
+                assert lpn // self.pages_per_block == lbn
                 assert self._page_index[lpn] is block
             total += len(block.pages)
         assert total == self._occupancy == len(self._page_index)
-        assert len(self._blocks) == len(self._list)

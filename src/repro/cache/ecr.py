@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Protocol
 
 from repro.cache.base import AccessOutcome, FlushBatch, WriteBufferPolicy
-from repro.cache.lru import PageNode
+from repro.cache.fifo import PageNode
 from repro.traces.model import IORequest
 from repro.utils.dll import DoublyLinkedList
 from repro.utils.validation import require_positive

@@ -10,11 +10,24 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from repro.cache.base import AccessOutcome, FlushBatch, WriteBufferPolicy
-from repro.cache.lru import PageNode
 from repro.traces.model import IORequest
-from repro.utils.dll import DoublyLinkedList
+from repro.utils.dll import DLLNode, DoublyLinkedList
 
-__all__ = ["FIFOCache"]
+__all__ = ["PageNode", "FIFOCache"]
+
+
+class PageNode(DLLNode):
+    """One cached page in a page-granularity policy's list (FIFO, ECR)."""
+
+    __slots__ = ("lpn",)
+
+    def __init__(self, lpn: int) -> None:
+        # Base fields set directly: one of these is built per inserted
+        # page, and the super().__init__() call doubled the cost.
+        self.lpn = lpn
+        self.prev = None
+        self.next = None
+        self.owner = None
 
 
 class FIFOCache(WriteBufferPolicy):

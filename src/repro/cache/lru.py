@@ -1,35 +1,27 @@
 """Page-level LRU — the paper's primary baseline.
 
 Classic least-recently-used over individual 4 KB pages: hits promote the
-page to the MRU head, eviction flushes the single LRU-tail page.  Every
-eviction therefore frees exactly one page and issues exactly one flash
-program — the behaviour the paper contrasts with batched block/request
-eviction (Fig. 10).
+page to the MRU end, eviction flushes the single least-recently-used
+page.  Every eviction therefore frees exactly one page and issues
+exactly one flash program — the behaviour the paper contrasts with
+batched block/request eviction (Fig. 10).
+
+The recency order is one :class:`collections.OrderedDict` keyed by LPN,
+LRU end first: a hit is ``move_to_end``, an insert appends and an
+eviction is ``popitem(last=False)``, each O(1) in C with no per-page
+node object (paper §4.2.5 counts 12 B of list metadata per page all the
+same).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from collections import OrderedDict
+from typing import Iterable
 
 from repro.cache.base import AccessOutcome, FlushBatch, WriteBufferPolicy
 from repro.traces.model import IORequest, OpType
-from repro.utils.dll import DLLNode, DoublyLinkedList
 
-__all__ = ["PageNode", "LRUCache"]
-
-
-class PageNode(DLLNode):
-    """One cached page in a page-granularity policy's list."""
-
-    __slots__ = ("lpn",)
-
-    def __init__(self, lpn: int) -> None:
-        # Base fields set directly: one of these is built per inserted
-        # page, and the super().__init__() call doubled the cost.
-        self.lpn = lpn
-        self.prev = None
-        self.next = None
-        self.owner = None
+__all__ = ["LRUCache"]
 
 
 class LRUCache(WriteBufferPolicy):
@@ -40,40 +32,37 @@ class LRUCache(WriteBufferPolicy):
 
     def __init__(self, capacity_pages: int) -> None:
         super().__init__(capacity_pages)
-        self._list: DoublyLinkedList[PageNode] = DoublyLinkedList("lru")
-        self._index: Dict[int, PageNode] = {}
+        #: Cached LPNs in recency order, least recently used first.
+        self._order: "OrderedDict[int, None]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def contains(self, lpn: int) -> bool:
         """Whether ``lpn`` is currently cached."""
-        return lpn in self._index
+        return lpn in self._order
 
     def cached_lpns(self) -> Iterable[int]:
         """All cached LPNs (order unspecified)."""
-        return self._index.keys()
+        return self._order.keys()
 
     def metadata_nodes(self) -> int:
         """Live replacement-metadata node count."""
-        return len(self._index)
+        return len(self._order)
 
     # ------------------------------------------------------------------
     def access(self, request: IORequest) -> AccessOutcome:
-        """Fused fast path: one dict probe per page (the template's
-        ``contains`` + ``_on_hit`` pair costs a second lookup), with the
-        list operations bound once per request.  Must stay behaviourally
-        identical to the template loop — the traced path still uses it,
-        and the fast-path equivalence test pins the eviction sequence.
+        """Fused fast path: the hooks' ``OrderedDict`` operations bound
+        once per request instead of three method calls per page.  Must
+        stay behaviourally identical to the template loop — the traced
+        path still uses it, and the fast-path equivalence and
+        differential tests pin the eviction sequence.
         """
         if self.tracer.enabled:
             return self._access_traced(request)
         self._req_seq += 1
         outcome = AccessOutcome()
-        index = self._index
-        index_get = index.get
-        lst = self._list
-        move_to_head = lst.move_to_head
-        push_head = lst.push_head
-        pop_tail = lst.pop_tail
+        order = self._order
+        move_to_end = order.move_to_end
+        popitem = order.popitem
         capacity = self.capacity_pages
         is_write = request.op is OpType.WRITE
         flushes = outcome.flushes
@@ -81,21 +70,17 @@ class LRUCache(WriteBufferPolicy):
         hits = misses = inserted = 0
         occ = self._occupancy
         for lpn in request.pages():
-            node = index_get(lpn)
-            if node is not None:
+            if lpn in order:
                 hits += 1
-                move_to_head(node)
+                move_to_end(lpn)
             elif is_write:
                 misses += 1
                 while occ >= capacity:
-                    victim = pop_tail()
-                    assert victim is not None, "evict called on empty cache"
-                    del index[victim.lpn]
                     occ -= 1
-                    flushes.append(FlushBatch([victim.lpn]))
-                node = PageNode(lpn)
-                index[lpn] = node
-                push_head(node)
+                    # popitem(last=False), passed positionally: the
+                    # keyword form costs more per eviction.
+                    flushes.append(FlushBatch([popitem(False)[0]]))
+                order[lpn] = None
                 occ += 1
                 inserted += 1
             else:
@@ -108,34 +93,27 @@ class LRUCache(WriteBufferPolicy):
         return outcome
 
     def _on_hit(self, lpn: int, request: IORequest) -> None:
-        self._list.move_to_head(self._index[lpn])
+        self._order.move_to_end(lpn)
 
     def _insert(self, lpn: int, request: IORequest, outcome: AccessOutcome) -> None:
-        node = PageNode(lpn)
-        self._index[lpn] = node
-        self._list.push_head(node)
+        self._order[lpn] = None
         self._occupancy += 1
 
     def _evict_one(self, outcome: AccessOutcome) -> None:
-        victim = self._list.pop_tail()
-        assert victim is not None, "evict called on empty cache"
-        del self._index[victim.lpn]
+        victim = self._order.popitem(last=False)[0]
         self._occupancy -= 1
-        outcome.flushes.append(FlushBatch([victim.lpn]))
+        outcome.flushes.append(FlushBatch([victim]))
 
     # ------------------------------------------------------------------
     def flush_all(self) -> FlushBatch:
-        """Drain the cache; returns one batch of the dirty pages."""
-        lpns = [n.lpn for n in self._list]
-        self._list.clear()
-        self._index.clear()
+        """Drain the cache; returns one batch of the dirty pages, most
+        recently used first (the order a draining replay programs them)."""
+        lpns = list(reversed(self._order))
+        self._order.clear()
         self._occupancy = 0
         return FlushBatch(lpns, reason="drain")
 
     def validate(self) -> None:
         """Check structural invariants (tests); see CachePolicy."""
         super().validate()
-        self._list.validate()
-        assert len(self._list) == len(self._index) == self._occupancy
-        for node in self._list:
-            assert self._index.get(node.lpn) is node
+        assert len(self._order) == self._occupancy

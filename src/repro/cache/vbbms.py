@@ -22,39 +22,25 @@ behaviour that makes VBBMS competitive with Req-block on most traces
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, Set
 
 from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch
 from repro.obs.events import CacheHit, CacheMiss, Evict, Insert
 from repro.traces.model import IORequest, OpType
-from repro.utils.dll import DLLNode, DoublyLinkedList
 from repro.utils.validation import require_in_range, require_positive
 
 __all__ = ["VBBMSCache"]
 
 
-class _VirtualBlock(DLLNode):
-    __slots__ = ("vbn", "pages")
-
-    def __init__(self, vbn: int) -> None:
-        # Base fields set directly: one node per populated virtual
-        # block, and the super().__init__() call doubled the cost.
-        self.vbn = vbn
-        self.pages: Set[int] = set()
-        self.prev = None
-        self.next = None
-        self.owner = None
-
-
 class _Region:
-    """One of the two cache partitions: a DLL of virtual blocks."""
+    """One of the two cache partitions: an ordered map of virtual blocks."""
 
     __slots__ = (
         "name",
         "capacity",
         "vb_pages",
         "use_lru",
-        "list",
         "vbs",
         "occupancy",
         "evict_reason",
@@ -65,8 +51,10 @@ class _Region:
         self.capacity = capacity
         self.vb_pages = vb_pages
         self.use_lru = use_lru
-        self.list: DoublyLinkedList[_VirtualBlock] = DoublyLinkedList(name)
-        self.vbs: Dict[int, _VirtualBlock] = {}
+        #: Virtual block number -> its cached LPNs, eviction end first
+        #: (least recently used in the LRU region, oldest in the FIFO
+        #: one).
+        self.vbs: "OrderedDict[int, Set[int]]" = OrderedDict()
         self.occupancy = 0
         # Precomputed FlushBatch reason (one eviction happens per ~3-4
         # inserted pages; the f-string per eviction showed in profiles).
@@ -184,9 +172,7 @@ class VBBMSCache(CachePolicy):
             t_use_lru = target.use_lru
             t_vbs = target.vbs
             t_vbs_get = t_vbs.get
-            t_list = target.list
-            t_push_head = t_list.push_head
-            t_move_to_head = t_list.move_to_head
+            t_move_to_end = t_vbs.move_to_end
         for lpn in request.pages():
             region = region_get(lpn)
             if region is not None:
@@ -194,21 +180,19 @@ class VBBMSCache(CachePolicy):
                 # Only the random region tracks recency (LRU); the FIFO
                 # sequential region leaves hit blocks in place.
                 if region.use_lru:
-                    vb = region.vbs[lpn // region.vb_pages]
-                    region.list.move_to_head(vb)
+                    region.vbs.move_to_end(lpn // region.vb_pages)
             elif is_write:
                 misses += 1
                 while target.occupancy >= t_cap:
                     evict_from(target, outcome)
                 vbn = lpn // t_vb_pages
-                vb = t_vbs_get(vbn)
-                if vb is None:
-                    vb = _VirtualBlock(vbn)
-                    t_vbs[vbn] = vb
-                    t_push_head(vb)
-                elif t_use_lru:
-                    t_move_to_head(vb)
-                vb.pages.add(lpn)
+                pages = t_vbs_get(vbn)
+                if pages is None:
+                    t_vbs[vbn] = {lpn}
+                else:
+                    if t_use_lru:
+                        t_move_to_end(vbn)
+                    pages.add(lpn)
                 target.occupancy += 1
                 page_region[lpn] = target
                 inserted += 1
@@ -234,8 +218,7 @@ class VBBMSCache(CachePolicy):
                 outcome.page_hits += 1
                 tracer.emit(CacheHit(self._event_clock, req_id, lpn, region.name))
                 if region.use_lru:
-                    vb = region.vbs[lpn // region.vb_pages]
-                    region.list.move_to_head(vb)
+                    region.vbs.move_to_end(lpn // region.vb_pages)
                 continue
             outcome.page_misses += 1
             tracer.emit(CacheMiss(self._event_clock, req_id, lpn, request.is_write))
@@ -263,24 +246,21 @@ class VBBMSCache(CachePolicy):
     # ------------------------------------------------------------------
     def _insert_into(self, region: _Region, lpn: int) -> None:
         vbn = lpn // region.vb_pages
-        vb = region.vbs.get(vbn)
-        if vb is None:
-            vb = _VirtualBlock(vbn)
-            region.vbs[vbn] = vb
-            region.list.push_head(vb)
-        elif region.use_lru:
-            region.list.move_to_head(vb)
-        vb.pages.add(lpn)
+        pages = region.vbs.get(vbn)
+        if pages is None:
+            region.vbs[vbn] = {lpn}
+        else:
+            if region.use_lru:
+                region.vbs.move_to_end(vbn)
+            pages.add(lpn)
         region.occupancy += 1
         self._page_region[lpn] = region
 
     def _evict_from(self, region: _Region, outcome: AccessOutcome) -> None:
-        victim = region.list.pop_tail()
-        assert victim is not None, f"evict from empty region {region.name}"
-        lpns = sorted(victim.pages)
+        lpns = sorted(region.vbs.popitem(last=False)[1])
+        page_region = self._page_region
         for lpn in lpns:
-            del self._page_region[lpn]
-        del region.vbs[victim.vbn]
+            del page_region[lpn]
         region.occupancy -= len(lpns)
         outcome.flushes.append(FlushBatch(lpns, reason=region.evict_reason))
 
@@ -289,7 +269,6 @@ class VBBMSCache(CachePolicy):
         """Drain the cache; returns one batch of the dirty pages."""
         lpns = sorted(self._page_region.keys())
         for region in (self.random, self.seq):
-            region.list.clear()
             region.vbs.clear()
             region.occupancy = 0
         self._page_region.clear()
@@ -300,14 +279,12 @@ class VBBMSCache(CachePolicy):
         # Regions have individual capacities; the global bound still holds.
         assert self.occupancy() <= self.capacity_pages
         for region in (self.random, self.seq):
-            region.list.validate()
             total = 0
-            for vb in region.list:
-                assert region.vbs[vb.vbn] is vb
-                assert vb.pages, "empty virtual block retained"
-                for lpn in vb.pages:
-                    assert lpn // region.vb_pages == vb.vbn
+            for vbn, pages in region.vbs.items():
+                assert pages, "empty virtual block retained"
+                for lpn in pages:
+                    assert lpn // region.vb_pages == vbn
                     assert self._page_region[lpn] is region
-                total += len(vb.pages)
+                total += len(pages)
             assert total == region.occupancy
             assert region.occupancy <= region.capacity

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.cache.registry import PAPER_COMPARISON, available_policies
 from repro.experiments.common import (
     add_resilience_args,
+    add_worker_args,
     finish_experiment,
     positive_int,
     settings_from_args,
@@ -172,6 +173,19 @@ class _UsageError(Exception):
     """Flag combination the parser can't catch; maps to exit code 2."""
 
 
+def _resolve_jobs_or_report(jobs: Optional[int], n_tasks: int) -> Optional[int]:
+    """:func:`repro.sim.parallel.resolve_jobs`, with a bad ``REPRO_JOBS``
+    reported on stderr as a usage error (returns None) instead of
+    raised as a traceback."""
+    from repro.sim.parallel import resolve_jobs
+
+    try:
+        return resolve_jobs(jobs, n_tasks)
+    except ValueError as exc:
+        print(f"reqblock-sim: error: {exc}", file=sys.stderr)
+        return None
+
+
 def _resolve_tenants(
     args: argparse.Namespace,
 ) -> "Tuple[Trace, Optional[Any], Optional[Tuple[float, ...]]]":
@@ -312,7 +326,7 @@ def _replay_sharded_cmd(
             file=sys.stderr,
         )
         return 2
-    from repro.sim.parallel import replay_sharded, resolve_jobs
+    from repro.sim.parallel import replay_sharded
     from repro.sim.progress import make_progress_printer
 
     config = ReplayConfig(
@@ -325,7 +339,9 @@ def _replay_sharded_cmd(
         tenants=tenant_map,
         tenant_weights=tenant_weights,
     )
-    jobs = resolve_jobs(args.jobs, len(trace))
+    jobs = _resolve_jobs_or_report(args.jobs, len(trace))
+    if jobs is None:
+        return 2
     n_shards = args.shards if args.shards is not None else jobs
     telemetry = None
     if args.live:
@@ -872,6 +888,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    # Without --jobs the grid's width falls back to REPRO_JOBS (after
+    # REPRO_SWEEP_PROCESSES; see repro.sim.sweep.run_jobs): check it
+    # before any replay starts.
+    if (
+        args.processes is None
+        and not os.environ.get("REPRO_SWEEP_PROCESSES")
+        and _resolve_jobs_or_report(None, 1) is None
+    ):
+        return 2
     module = importlib.import_module(_EXPERIMENTS[args.name])
     settings = settings_from_args(args)
     _ledger_attach(
@@ -1141,22 +1166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("name", choices=sorted(_EXPERIMENTS))
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    # No ``choices``: a name that is not a paper workload is loaded as
+    # an MSR CSV path (``repro.sim.sweep._job_trace``).
     p.add_argument("--workloads", nargs="+", default=list(WORKLOAD_ORDER))
-    p.add_argument(
-        "--jobs", "-j", dest="processes", type=positive_int, default=None, metavar="N",
-        help="worker processes for the experiment grid "
-             "(default: all cores; 1 = inline)",
-    )
-    p.add_argument(
-        "--processes", dest="processes", type=positive_int, default=None,
-        help=argparse.SUPPRESS,  # legacy spelling of --jobs
-    )
-    p.add_argument(
-        "--start-method", default=None,
-        choices=("fork", "spawn", "forkserver"),
-        help="pool start method (default: fork where available, else spawn)",
-    )
-    add_resilience_args(p)
+    add_worker_args(p)
     _add_ledger_args(p)
     p.set_defaults(func=_cmd_experiment)
 

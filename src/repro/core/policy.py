@@ -319,16 +319,29 @@ class ReqBlockCache(CachePolicy):
     # Eviction (§3.3)
     # ------------------------------------------------------------------
     def _select_victim(self) -> RequestBlock:
+        """The IRL/SRL/DRL tail with the least Eq. 1 frequency; the
+        first in that order wins a tie.
+
+        Eq. 1 is scored inline with the float operations of
+        :meth:`RequestBlock.frequency` (age floored at 1 tick); an empty
+        block, which ``frequency`` ranks at ``inf``, is skipped.
+        """
         clock = self._clock
+        lists = self.lists
         best: Optional[RequestBlock] = None
         best_freq = float("inf")
-        for lst in self.lists._all_lists():
-            block = lst.tail
+        for lst in (lists._irl, lists._srl, lists._drl):
+            block = lst._tail
             if block is not None:
-                f = block.frequency(clock)
-                if f < best_freq:
-                    best_freq = f
-                    best = block
+                n = len(block.pages)
+                if n:
+                    age = clock - block.t_insert
+                    if age < 1:
+                        age = 1
+                    f = block.access_cnt / (n * age)
+                    if f < best_freq:
+                        best_freq = f
+                        best = block
         assert best is not None, "evict called on empty cache"
         return best
 

@@ -29,6 +29,7 @@ __all__ = [
     "ExperimentSettings",
     "run_grid",
     "add_standard_args",
+    "add_worker_args",
     "add_resilience_args",
     "positive_int",
     "supervision_from_args",
@@ -169,7 +170,7 @@ def positive_int(text: str) -> int:
 
 
 def add_standard_args(parser: argparse.ArgumentParser) -> None:
-    """Attach the scale/workloads/processes options every experiment shares."""
+    """Attach the scale/workloads/worker options every experiment shares."""
     parser.add_argument(
         "--scale",
         type=float,
@@ -183,12 +184,22 @@ def add_standard_args(parser: argparse.ArgumentParser) -> None:
         choices=WORKLOAD_ORDER,
         help="paper workloads to replay",
     )
+    add_worker_args(parser)
+
+
+def add_worker_args(parser: argparse.ArgumentParser) -> None:
+    """Attach the experiment grid's worker and resilience options.
+
+    Shared by the standalone experiment parsers and the ``experiment``
+    subcommand of ``reqblock-sim``, so both parse them alike.
+    """
     parser.add_argument(
         "--jobs",
         "-j",
         dest="processes",
         type=positive_int,
         default=None,
+        metavar="N",
         help="worker processes for the experiment grid "
         "(default: all cores; 1 = inline)",
     )

@@ -125,10 +125,25 @@ def resolve_start_method(preferred: Optional[str] = None) -> str:
 
 def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
     """Effective worker count: explicit > ``REPRO_JOBS`` > CPU count,
-    clamped to the task count and floored at 1."""
+    clamped to the task count and floored at 1.
+
+    Raises ``ValueError`` for an explicit count below 1, and for a
+    ``REPRO_JOBS`` that is not an integer >= 1 (the message names the
+    variable).
+    """
     if jobs is None:
         env = os.environ.get(JOBS_ENV)
-        jobs = int(env) if env else (os.cpu_count() or 1)
+        if not env:
+            jobs = os.cpu_count() or 1
+        else:
+            try:
+                jobs = int(env)
+            except ValueError:
+                jobs = 0
+            if jobs < 1:
+                raise ValueError(
+                    f"{JOBS_ENV} must be an integer >= 1, got {env!r}"
+                )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return max(1, min(jobs, n_tasks or 1))

@@ -1,17 +1,27 @@
-"""Intrusive doubly-linked list used by every cache policy.
+"""Intrusive doubly-linked list for the structures that need node links.
 
-All cache replacement policies in this package (LRU, BPLRU, VBBMS,
-Req-block's three-level lists, ...) need O(1) insertion at the head,
-O(1) removal of an arbitrary node, and O(1) access to the tail.  A
-plain :class:`collections.OrderedDict` covers LRU but not the richer
-"move this node between lists" operations Req-block performs, so we use
-an *intrusive* doubly-linked list: the node object itself carries the
-``prev``/``next`` pointers and a back-reference to the owning list, which
-makes cross-list moves explicit and checkable.
+LRU, BPLRU and VBBMS keep their recency order in a C-implemented
+:class:`collections.OrderedDict` instead: promote, demote and evict are
+all O(1) there, with no node object per entry.  This list stays where
+the node's own links are the point:
 
-The list maintains a length counter and a sentinel-free head/tail pair;
-``validate()`` walks the chain and asserts structural invariants, which
-the property-based test-suite leans on heavily.
+* Req-block's IRL/SRL/DRL (:mod:`repro.core.multilist`) move a block
+  *between* lists and peek all three tails before every eviction; with
+  the links and owner on the node, the move is pointer surgery and the
+  peek an attribute load (an ``OrderedDict`` tail peek builds an
+  iterator);
+* ECR and CFLRU walk ``prev`` pointers from the tail to scan their
+  eviction window; FIFO shares ECR's page node;
+* LFU and FAB move nodes between frequency/size buckets, and PUD-LRU
+  unlinks its victim from the middle of its list;
+* DFTL's cached mapping table orders its entries on one.
+
+The node object carries the ``prev``/``next`` pointers and a
+back-reference to the owning list, which makes cross-list moves
+explicit and checkable.  The list maintains a length counter and a
+sentinel-free head/tail pair; ``validate()`` walks the chain and
+asserts structural invariants, which the property-based test-suite
+leans on heavily.
 """
 
 from __future__ import annotations
@@ -36,11 +46,6 @@ class DLLNode:
         self.prev: Optional[DLLNode] = None
         self.next: Optional[DLLNode] = None
         self.owner: Optional[DoublyLinkedList] = None
-
-    @property
-    def in_list(self) -> bool:
-        """Whether this node is currently linked into a list."""
-        return self.owner is not None
 
 
 T = TypeVar("T", bound=DLLNode)
@@ -98,20 +103,9 @@ class DoublyLinkedList(Generic[T]):
         """Last (least-recently touched) node, or ``None``."""
         return self._tail
 
-    def __contains__(self, node: DLLNode) -> bool:
-        return node.owner is self
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _claim(self, node: T) -> None:
-        if node.owner is not None:
-            raise ValueError(
-                f"node already belongs to list {node.owner.name!r}; "
-                f"remove it before inserting into {self.name!r}"
-            )
-        node.owner = self
-
     def push_head(self, node: T) -> None:
         """Insert ``node`` at the head (MRU position)."""
         if node.owner is not None:
@@ -128,32 +122,6 @@ class DoublyLinkedList(Generic[T]):
         else:
             self._tail = node
         self._head = node
-        self._len += 1
-
-    def push_tail(self, node: T) -> None:
-        """Insert ``node`` at the tail (LRU / eviction-candidate position)."""
-        self._claim(node)
-        node.next = None
-        node.prev = self._tail
-        if self._tail is not None:
-            self._tail.next = node
-        self._tail = node
-        if self._head is None:
-            self._head = node
-        self._len += 1
-
-    def insert_after(self, anchor: T, node: T) -> None:
-        """Insert ``node`` immediately after ``anchor`` (must be in this list)."""
-        if anchor.owner is not self:
-            raise ValueError("anchor node is not in this list")
-        self._claim(node)
-        node.prev = anchor
-        node.next = anchor.next
-        if anchor.next is not None:
-            anchor.next.prev = node
-        else:
-            self._tail = node
-        anchor.next = node
         self._len += 1
 
     def remove(self, node: T) -> None:
@@ -202,43 +170,6 @@ class DoublyLinkedList(Generic[T]):
         node.next = head
         head.prev = node
         self._head = node
-
-    def move_to_tail(self, node: T) -> None:
-        """Demote ``node`` (already in this list) to the tail."""
-        if node.owner is not self:
-            raise ValueError("node is not in this list")
-        tail = self._tail
-        if tail is node:
-            return
-        # Unlink; node is not the tail, so node.next is a real node.
-        prev = node.prev
-        nxt = node.next
-        nxt.prev = prev
-        if prev is not None:
-            prev.next = nxt
-        else:
-            self._head = nxt
-        # Relink behind the old tail.
-        node.next = None
-        node.prev = tail
-        tail.next = node
-        self._tail = node
-
-    def pop_head(self) -> Optional[T]:
-        """Remove and return the head node, or ``None`` if empty."""
-        node = self._head
-        if node is None:
-            return None
-        nxt = node.next
-        if nxt is not None:
-            nxt.prev = None
-        else:
-            self._tail = None
-        self._head = nxt  # type: ignore[assignment]
-        node.prev = node.next = None
-        node.owner = None
-        self._len -= 1
-        return node
 
     def pop_tail(self) -> Optional[T]:
         """Remove and return the tail node, or ``None`` if empty."""

@@ -83,6 +83,12 @@ class TestBasics:
         assert c.occupancy() == 0
         c.validate()
 
+    def test_flush_all_is_most_recent_first(self):
+        c = LRUCache(8)
+        c.access(W(0, 3))
+        c.access(R(1))  # recency, oldest first: 0, 2, 1
+        assert c.flush_all().lpns == [1, 2, 0]
+
     def test_metadata_accounting(self):
         c = LRUCache(8)
         c.access(W(0, 3))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.multilist import ListLevel
 from repro.core.policy import DEFAULT_DELTA, ReqBlockCache
+from repro.traces.model import IORequest, OpType
 from tests.conftest import R, W
 
 
@@ -160,6 +163,42 @@ class TestEviction:
         out = c.access(W(20, 4))  # IRL tail (block 0) has lowest Freq
         assert out.flushes[0].lpns == [0, 1, 2, 3]
         assert c.contains(10)
+
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 40), st.integers(1, 10)),
+            min_size=1,
+            max_size=80,
+        ),
+        capacity=st.integers(4, 24),
+        delta=st.integers(1, 6),
+        refresh=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_victim_is_first_least_frequent_tail(self, ops, capacity, delta, refresh):
+        """Before every eviction the victim is, of the non-empty IRL,
+        SRL and DRL tails in that order, the first whose
+        ``RequestBlock.frequency`` (Eq. 1) is least."""
+        chosen = []
+
+        class Checked(ReqBlockCache):
+            def _select_victim(self):
+                victim = super()._select_victim()
+                tails = [b for _level, b in self.lists.tails() if b.pages]
+                least = min(b.frequency(self._clock) for b in tails)
+                first = next(b for b in tails if b.frequency(self._clock) == least)
+                assert victim is first, (victim, tails)
+                chosen.append(victim)
+                return victim
+
+        c = Checked(capacity, delta=delta, refresh_age_on_promote=refresh)
+        flushes = 0
+        for i, (is_write, lpn, npages) in enumerate(ops):
+            op = OpType.WRITE if is_write else OpType.READ
+            out = c.access(IORequest(time=float(i), op=op, lpn=lpn, npages=npages))
+            flushes += len(out.flushes)
+        c.validate()
+        assert len(chosen) == flushes  # one checked choice per eviction
 
     def test_merge_on_evict_drags_origin(self):
         """Fig. 6: a split victim merges with its IRL origin remnant."""

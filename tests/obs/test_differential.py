@@ -6,7 +6,9 @@ with nothing but a Python list and a dict — slow, obvious, and easy to
 audit.  Random workloads are replayed through both; the tracer event
 stream of the production policy must yield exactly the reference's
 per-page hit/miss decisions, and the cache contents must agree after
-every request.
+every request.  LRU's untraced fused ``access`` is checked on its own
+too (outcome totals, read misses and one-page flushes in eviction
+order), and so is its drain order.
 
 The LFU tie-break relies on a property of the bucket implementation: a
 page enters its bucket when its frequency last changed, so last-touch
@@ -173,6 +175,21 @@ class RefVBBMS:
         return hits, misses, read_misses, flushes
 
 
+class _VictimLog(RefWriteBuffer):
+    """The reference, unchanged, plus a log of the pages its ``_evict``
+    removed, in eviction order."""
+
+    def __init__(self, capacity: int, kind: str) -> None:
+        super().__init__(capacity, kind)
+        self.victims: List[int] = []
+
+    def _evict(self) -> None:
+        before = set(self.freq)
+        super()._evict()
+        (victim,) = before - set(self.freq)
+        self.victims.append(victim)
+
+
 def _decisions_from_events(tracer: CountingTracer, req_id: int) -> List[bool]:
     """Per-page hit/miss decisions of one request, from the event stream."""
     out = []
@@ -240,6 +257,54 @@ class TestDifferential:
             )
         policy.validate()
 
+    @given(ops=request_lists, capacity=st.integers(2, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_lru_untraced_matches_reference(self, ops, capacity):
+        """The fused ``access`` (no tracer attached) against the
+        reference, request by request."""
+        policy = create_policy("lru", capacity)
+        reference = _VictimLog(capacity, "lru")
+        for i, request in enumerate(_requests(ops)):
+            outcome = policy.access(request)
+            decisions = reference.access(request)
+            got = (
+                outcome.page_hits,
+                outcome.page_misses,
+                list(outcome.read_miss_lpns),
+                [(list(f.lpns), f.reason, f.pin_key) for f in outcome.flushes],
+            )
+            expected = (
+                sum(decisions),
+                len(decisions) - sum(decisions),
+                [] if request.is_write else [
+                    lpn for lpn, hit in zip(request.pages(), decisions) if not hit
+                ],
+                [([victim], "capacity", None) for victim in reference.victims],
+            )
+            reference.victims.clear()
+            assert got == expected, f"lru diverged at request {i} ({request!r})"
+            assert set(policy.cached_lpns()) == set(reference.order), (
+                f"lru: contents diverged at request {i}"
+            )
+        policy.validate()
+
+    @given(ops=request_lists, capacity=st.integers(2, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_lru_drains_most_recent_first(self, ops, capacity):
+        """``flush_all`` hands out the reference order reversed: the most
+        recently used page first, the order a draining replay programs
+        flash in."""
+        policy = create_policy("lru", capacity)
+        reference = RefWriteBuffer(capacity, "lru")
+        for request in _requests(ops):
+            policy.access(request)
+            reference.access(request)
+        batch = policy.flush_all()
+        assert batch.lpns == reference.order[::-1]
+        assert batch.reason == "drain"
+        assert policy.occupancy() == 0 and not list(policy.cached_lpns())
+        policy.validate()
+
     def test_reference_is_actually_naive(self):
         """Guard the premise of the docstring: each reference stays a
         ~40-line dict+list model with no clever data structures."""
@@ -248,6 +313,18 @@ class TestDifferential:
         for reference in (RefWriteBuffer, RefBPLRU, RefVBBMS):
             source = inspect.getsource(reference)
             assert len(source.splitlines()) < 50, reference.__name__
+
+
+def _requests(ops) -> List[IORequest]:
+    return [
+        IORequest(
+            time=float(i),
+            op=OpType.WRITE if is_write else OpType.READ,
+            lpn=lpn,
+            npages=npages,
+        )
+        for i, (is_write, lpn, npages) in enumerate(ops)
+    ]
 
 
 #: Small blocks so random streams over LPNs 0..57 fill, demote and pad

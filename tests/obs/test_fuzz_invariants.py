@@ -8,7 +8,7 @@ minimal reproducing request sequence before the test fails, so the
 report is actionable instead of a 400-request dump.
 
 The shrinker itself is exercised against a deliberately buggy policy
-(an LRU whose eviction leaks index entries on every 5th eviction) to
+(a FIFO whose eviction leaks index entries on every 5th eviction) to
 prove the shrink-and-report path works end to end.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.cache.base import AccessOutcome
-from repro.cache.lru import LRUCache
+from repro.cache.fifo import FIFOCache
 from repro.cache.registry import available_policies, create_policy
 from repro.obs.invariants import InvariantChecker, InvariantViolation
 from repro.obs.shrink import shrink_failing_prefix
@@ -90,11 +90,11 @@ def test_fuzz_policy_invariants(policy_name: str, seed: int) -> None:
         )
 
 
-class _LeakyLRU(LRUCache):
-    """LRU with a seeded bug: every 5th eviction forgets the index entry
+class _LeakyFIFO(FIFOCache):
+    """FIFO with a seeded bug: every 5th eviction forgets the index entry
     (the page leaves the list but stays 'cached' in the index)."""
 
-    name = "leaky-lru"
+    name = "leaky-fifo"
 
     def __init__(self, capacity_pages: int) -> None:
         super().__init__(capacity_pages)
@@ -115,7 +115,7 @@ class _LeakyLRU(LRUCache):
 
 class TestShrinkAndReport:
     def _leaky_fails(self, requests: List[IORequest]) -> bool:
-        policy = _LeakyLRU(8)
+        policy = _LeakyFIFO(8)
         checker = InvariantChecker(policy=policy)
         policy.set_tracer(checker)
         try:

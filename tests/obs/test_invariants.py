@@ -2,15 +2,16 @@
 
 The value of a runtime invariant checker is only demonstrable by breaking
 the simulator on purpose: each test here corrupts one structure the way a
-real bookkeeping bug would (a botched DLL unlink, a stale index entry,
-overlapping request blocks, a lost erase count) and asserts the checker
-reports it on the very next event.
+real bookkeeping bug would (a botched DLL unlink or a stale index entry in
+FIFO's page list, overlapping request blocks, a lost erase count) and
+asserts the checker reports it on the very next event.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cache.fifo import FIFOCache
 from repro.cache.lru import LRUCache
 from repro.core.policy import ReqBlockCache
 from repro.obs.events import CacheHit, GcErase
@@ -21,6 +22,14 @@ from tests.conftest import W, make_trace
 
 def _checked_lru(capacity: int = 8) -> tuple[LRUCache, InvariantChecker]:
     policy = LRUCache(capacity)
+    checker = InvariantChecker(policy=policy)
+    policy.set_tracer(checker)
+    return policy, checker
+
+
+def _checked_fifo(capacity: int = 8) -> tuple[FIFOCache, InvariantChecker]:
+    """FIFO keeps the intrusive list + index pair the DLL bugs corrupt."""
+    policy = FIFOCache(capacity)
     checker = InvariantChecker(policy=policy)
     policy.set_tracer(checker)
     return policy, checker
@@ -37,7 +46,7 @@ class TestSeededBugs:
     def test_catches_mutated_dll_unlink(self):
         """A node unlinked without fixing its neighbours' pointers — the
         classic intrusive-list bug — must be caught on the next event."""
-        policy, _checker = _checked_lru()
+        policy, _checker = _checked_fifo()
         for i in range(8):
             policy.access(W(i, t=float(i)))
         # Seed the bug: rip the middle node out by hand, "forgetting"
@@ -52,7 +61,7 @@ class TestSeededBugs:
         assert "policy invariant" in str(exc_info.value)
 
     def test_catches_stale_index_entry(self):
-        policy, _checker = _checked_lru()
+        policy, _checker = _checked_fifo()
         for i in range(8):
             policy.access(W(i, t=float(i)))
         # Seed the bug: evict from the list but leave the index entry.

@@ -111,6 +111,16 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(0, 5)
 
+    @pytest.mark.parametrize("env", ["0", "-1", "abc", "2.5"])
+    def test_bad_env_names_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv("REPRO_JOBS", env)
+        with pytest.raises(ValueError, match=f"REPRO_JOBS .*{env!r}"):
+            resolve_jobs(None, 5)
+
+    def test_explicit_jobs_ignore_a_bad_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert resolve_jobs(2, 5) == 2
+
 
 class TestRunShards:
     def test_empty(self):

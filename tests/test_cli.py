@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.common import add_standard_args
 
 SCALE = "0.00390625"  # 1/256
 
@@ -322,6 +325,62 @@ class TestParallelCli:
         )
         assert rc == 0
         assert "Figure 10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("env", ["0", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "ts_0", "--scale", SCALE, "--shards", "4"],
+            ["experiment", "fig10", "--scale", SCALE, "--workloads", "ts_0"],
+        ],
+        ids=["replay-shards", "experiment"],
+    )
+    def test_bad_jobs_env_is_a_usage_error(self, argv, env, monkeypatch, capsys):
+        """Where the worker count falls back to REPRO_JOBS, a value that
+        is not an integer >= 1 exits 2 with a message naming it."""
+        monkeypatch.delenv("REPRO_SWEEP_PROCESSES", raising=False)
+        monkeypatch.setenv("REPRO_JOBS", env)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "REPRO_JOBS" in captured.err and repr(env) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_bad_jobs_env_unused_with_explicit_jobs(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        rc = main(
+            ["experiment", "fig10", "--scale", SCALE,
+             "--workloads", "ts_0", "--jobs", "1"]
+        )
+        assert rc == 0
+
+    def test_experiment_worker_flags_match_standalone_parser(self):
+        """The ``experiment`` subcommand and a standalone experiment
+        parser declare the same worker and resilience flags (one
+        helper) and parse them to the same values."""
+        standalone = argparse.ArgumentParser()
+        add_standard_args(standalone)
+        sub = build_parser()._subparsers._group_actions[0].choices["experiment"]
+
+        def options(parser):
+            return {o for a in parser._actions for o in a.option_strings}
+
+        worker_flags = options(standalone) - {"-h", "--help", "--scale", "--workloads"}
+        assert worker_flags <= options(sub)
+        assert {"-j", "--jobs", "--processes", "--start-method",
+                "--max-retries", "--salvage"} <= worker_flags
+        for flags in (
+            ["-j", "3", "--start-method", "spawn", "--max-retries", "2",
+             "--shard-timeout", "7.5", "--checkpoint", "run.journal",
+             "--salvage", "--progress"],
+            ["--processes", "2", "--resume", "old.journal"],
+            [],
+        ):
+            got = vars(build_parser().parse_args(["experiment", "fig10", *flags]))
+            want = vars(standalone.parse_args(flags))
+            for key in ("scale", "workloads"):
+                want.pop(key)
+            assert {k: got[k] for k in want} == want, flags
 
     def test_experiment_start_method_choices(self):
         args = build_parser().parse_args(

@@ -183,3 +183,34 @@ def test_run_checkout_parses_last_json_line(tmp_path):
     script.write_text("import sys\nprint('no json')\nsys.exit(3)\n")
     got = perf_ab.run_checkout(tmp_path, ["python3", "bench.py"])
     assert got["correct"] is False and "exit 3" in got["error"]
+
+
+def test_several_workloads_run_in_turn(tmp_path, capsys):
+    """``--workload a b`` runs a's pairs, then b's, prints one table per
+    workload and exits 1 when a run of either is not correct."""
+    parent_dir, change_dir = tmp_path / "parent", tmp_path / "change"
+    parent_dir.mkdir()
+    change_dir.mkdir()
+    (change_dir / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    parent = [result(100.0, 1.0)] * 4
+    change = [result(120.0, 0.9)] * 2 + [result(80.0, 1.1), result(80.0, 1.1, failed=1)]
+    runner = Scripted(parent_dir, parent, change)
+    argv = ["--parent", str(parent_dir), "--change", str(change_dir),
+            "--workload", "write-gc", "read-hot", "--pairs", "2"]
+    assert perf_ab.main(argv, runner=runner) == 1
+    workloads = [a[a.index("--workload") + 1] for _side, a in runner.calls]
+    assert workloads == ["write-gc"] * 4 + ["read-hot"] * 4
+    out = capsys.readouterr().out
+    first, second = out.split("\nworkload read-hot\n")
+    assert "\nworkload write-gc\n" in first and "FAIL" not in first
+    rows = {
+        line.split()[0]: line for line in second.splitlines() if line.strip()
+    }
+    assert "1.200" in first and "0.800" in rows["req_per_s"]
+    assert "runs not correct or with failed operations: pair 1 change" in second
+
+
+def test_one_good_workload_exits_0(tmp_path):
+    code, runner = run(tmp_path, [result(100.0, 1.0)] * 2, [result(100.0, 1.0)] * 2)
+    assert code == 0
+    assert len(runner.calls) == 4

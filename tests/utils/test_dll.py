@@ -21,13 +21,21 @@ def values(dll):
     return [n.value for n in dll]
 
 
+def filled(nodes):
+    """A list holding ``nodes`` head to tail (pushed in reverse)."""
+    dll = DoublyLinkedList()
+    for n in reversed(nodes):
+        dll.push_head(n)
+    return dll
+
+
 class TestBasicOps:
     def test_empty(self):
         dll = DoublyLinkedList("t")
         assert len(dll) == 0
         assert not dll
         assert dll.head is None and dll.tail is None
-        assert dll.pop_head() is None and dll.pop_tail() is None
+        assert dll.pop_tail() is None
         dll.validate()
 
     def test_push_head_order(self):
@@ -38,28 +46,17 @@ class TestBasicOps:
         assert dll.head.value == 3 and dll.tail.value == 1
         dll.validate()
 
-    def test_push_tail_order(self):
-        dll = DoublyLinkedList()
-        for v in (1, 2, 3):
-            dll.push_tail(Node(v))
-        assert values(dll) == [1, 2, 3]
-        dll.validate()
-
     def test_remove_middle(self):
-        dll = DoublyLinkedList()
         nodes = [Node(v) for v in range(5)]
-        for n in nodes:
-            dll.push_tail(n)
+        dll = filled(nodes)
         dll.remove(nodes[2])
         assert values(dll) == [0, 1, 3, 4]
-        assert not nodes[2].in_list
+        assert nodes[2].owner is None
         dll.validate()
 
     def test_remove_head_and_tail(self):
-        dll = DoublyLinkedList()
         nodes = [Node(v) for v in range(3)]
-        for n in nodes:
-            dll.push_tail(n)
+        dll = filled(nodes)
         dll.remove(nodes[0])
         dll.remove(nodes[2])
         assert values(dll) == [1]
@@ -67,44 +64,20 @@ class TestBasicOps:
         dll.validate()
 
     def test_move_to_head(self):
-        dll = DoublyLinkedList()
         nodes = [Node(v) for v in range(4)]
-        for n in nodes:
-            dll.push_tail(n)
+        dll = filled(nodes)
         dll.move_to_head(nodes[3])
         assert values(dll) == [3, 0, 1, 2]
         dll.move_to_head(nodes[3])  # already head: no-op
         assert values(dll) == [3, 0, 1, 2]
         dll.validate()
 
-    def test_move_to_tail(self):
-        dll = DoublyLinkedList()
-        nodes = [Node(v) for v in range(4)]
-        for n in nodes:
-            dll.push_tail(n)
-        dll.move_to_tail(nodes[0])
-        assert values(dll) == [1, 2, 3, 0]
-        dll.validate()
-
-    def test_insert_after(self):
-        dll = DoublyLinkedList()
-        a, b, c = Node("a"), Node("b"), Node("c")
-        dll.push_tail(a)
-        dll.push_tail(c)
-        dll.insert_after(a, b)
-        assert values(dll) == ["a", "b", "c"]
-        tail = Node("d")
-        dll.insert_after(c, tail)
-        assert dll.tail is tail
-        dll.validate()
-
     def test_pop(self):
-        dll = DoublyLinkedList()
-        for v in range(3):
-            dll.push_tail(Node(v))
-        assert dll.pop_head().value == 0
+        dll = filled([Node(v) for v in range(3)])
         assert dll.pop_tail().value == 2
-        assert dll.pop_head().value == 1
+        assert dll.pop_tail().value == 1
+        assert dll.head is dll.tail and dll.tail.value == 0
+        assert dll.pop_tail().value == 0
         assert len(dll) == 0
         dll.validate()
 
@@ -115,15 +88,8 @@ class TestBasicOps:
             dll.push_head(n)
         dll.clear()
         assert len(dll) == 0
-        assert all(not n.in_list for n in nodes)
+        assert all(n.owner is None for n in nodes)
         dll.validate()
-
-    def test_contains(self):
-        dll1, dll2 = DoublyLinkedList("a"), DoublyLinkedList("b")
-        n = Node(1)
-        assert n not in dll1
-        dll1.push_head(n)
-        assert n in dll1 and n not in dll2
 
 
 class TestErrorHandling:
@@ -133,8 +99,6 @@ class TestErrorHandling:
         dll.push_head(n)
         with pytest.raises(ValueError, match="already belongs"):
             dll.push_head(n)
-        with pytest.raises(ValueError, match="already belongs"):
-            dll.push_tail(n)
 
     def test_cross_list_insert_rejected(self):
         dll1, dll2 = DoublyLinkedList("one"), DoublyLinkedList("two")
@@ -155,19 +119,10 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             dll.remove(Node(1))
 
-    def test_insert_after_foreign_anchor_rejected(self):
-        dll1, dll2 = DoublyLinkedList(), DoublyLinkedList()
-        anchor = Node(1)
-        dll1.push_head(anchor)
-        with pytest.raises(ValueError, match="anchor"):
-            dll2.insert_after(anchor, Node(2))
-
     def test_move_foreign_rejected(self):
         dll = DoublyLinkedList()
         with pytest.raises(ValueError):
             dll.move_to_head(Node(1))
-        with pytest.raises(ValueError):
-            dll.move_to_tail(Node(1))
 
     def test_validate_walks_both_directions(self):
         """validate() length-checks a backward walk too, so pointer
@@ -177,10 +132,8 @@ class TestErrorHandling:
             lambda ns: setattr(ns[1], "prev", ns[2]),  # stray mid prev
             lambda ns: setattr(ns[0], "prev", ns[3]),  # head gains a prev
         ):
-            dll: DoublyLinkedList = DoublyLinkedList("d")
             nodes = [DLLNode() for _ in range(4)]
-            for n in nodes:
-                dll.push_tail(n)
+            dll = filled(nodes)
             corrupt(nodes)
             with pytest.raises(AssertionError):
                 dll.validate()
@@ -194,7 +147,7 @@ def dll_operations(draw):
         draw(
             st.tuples(
                 st.sampled_from(
-                    ["push_head", "push_tail", "pop_head", "pop_tail", "remove", "move_head"]
+                    ["push_head", "pop_tail", "remove", "move_head"]
                 ),
                 st.integers(0, 9),
             )
@@ -218,15 +171,6 @@ class TestProperties:
                 counter += 1
                 dll.push_head(n)
                 model.insert(0, n)
-            elif op == "push_tail":
-                n = Node(counter)
-                counter += 1
-                dll.push_tail(n)
-                model.append(n)
-            elif op == "pop_head":
-                got = dll.pop_head()
-                want = model.pop(0) if model else None
-                assert got is want
             elif op == "pop_tail":
                 got = dll.pop_tail()
                 want = model.pop() if model else None

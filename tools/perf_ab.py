@@ -2,15 +2,16 @@
 """Alternating parent/change A/B of the layered benchmark.
 
 Runs ``perfbench/run.py --trace 0`` (the command in ``BENCHMARK.json``)
-in two checkouts, ``--pairs`` times each.  The parent runs first in
-even pairs and the change runs first in odd pairs, so drift in the
-host's speed falls on both sides alike.  Each run's last stdout line is
-its JSON result.
+in two checkouts, ``--pairs`` times each, for each ``--workload`` in
+turn.  The parent runs first in even pairs and the change runs first in
+odd pairs, so drift in the host's speed falls on both sides alike.
+Each run's last stdout line is its JSON result.
 
-For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
-median and quartiles, the change/parent ratio of the medians, and the
-pairs the change won (in the metric's ``better`` direction; ties count
-for neither side).  Two verdicts follow:
+For every end-to-end metric of ``BENCHMARK.json`` it prints, in one
+table per workload, each side's median and quartiles, the
+change/parent ratio of the medians, and the pairs the change won (in
+the metric's ``better`` direction; ties count for neither side).  Two
+verdicts follow:
 
 * **claim** -- ``yes`` when the change won at least 90% of the pairs
   and its median beats the parent's by more than the parent's
@@ -21,14 +22,16 @@ for neither side).  Two verdicts follow:
   its median) exceeds the bound and not every change run beats every
   parent run.
 
-Exit codes: 0 = every run was correct, 1 = some run was not
-``correct`` or had failed operations (its metrics are still reported).
+Exit codes: 0 = every run was correct, 1 = some run of some workload
+was not ``correct`` or had failed operations (its metrics are still
+reported).
 
 Usage (from the change's checkout, with the parent checked out beside
 it)::
 
     python3 tools/perf_ab.py --parent ../parent --change . \\
-        --workload read-hot --pairs 10 [--seconds 35] [--seed 9001]
+        --workload write-gc read-hot shard-cache-only --pairs 10 \\
+        [--seconds 35] [--seed 9001]
 """
 
 from __future__ import annotations
@@ -192,8 +195,10 @@ def main(argv: Optional[List[str]] = None, runner: Runner = run_checkout) -> int
                         help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True,
                         help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--workload", nargs="+", required=True,
+                        help="one or more workloads, run one after another")
+    parser.add_argument("--pairs", type=int, required=True,
+                        help="alternating pairs per workload")
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--seed", type=int, default=None,
@@ -204,30 +209,33 @@ def main(argv: Optional[List[str]] = None, runner: Runner = run_checkout) -> int
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    command = list(spec["command"]) + [
-        "--workload", args.workload, "--seconds", f"{seconds:g}", "--trace", "0",
-    ]
-    if args.seed is not None:
-        command += ["--seed", str(args.seed)]
-    print(f"perf_ab: {' '.join(command)}")
-    print(f"  parent {args.parent}, change {args.change}, {args.pairs} pairs")
+    failed = False
+    for workload in args.workload:
+        command = list(spec["command"]) + [
+            "--workload", workload, "--seconds", f"{seconds:g}", "--trace", "0",
+        ]
+        if args.seed is not None:
+            command += ["--seed", str(args.seed)]
+        print(f"perf_ab: {' '.join(command)}")
+        print(f"  parent {args.parent}, change {args.change}, {args.pairs} pairs")
 
-    pairs = run_pairs(args.parent, args.change, command, args.pairs, runner)
-    rows = [
-        row for m in spec["end_to_end"] if (row := compare_metric(m, pairs))
-    ]
-    print()
-    report(rows)
-    bad = [
-        f"pair {k} {side}"
-        for k, results in enumerate(pairs)
-        for side, result in zip(("parent", "change"), results)
-        if not run_ok(result)
-    ]
-    if bad:
-        print(f"\nFAIL: runs not correct or with failed operations: {', '.join(bad)}")
-        return 1
-    return 0
+        pairs = run_pairs(args.parent, args.change, command, args.pairs, runner)
+        rows = [
+            row for m in spec["end_to_end"] if (row := compare_metric(m, pairs))
+        ]
+        print(f"\nworkload {workload}")
+        report(rows)
+        bad = [
+            f"pair {k} {side}"
+            for k, results in enumerate(pairs)
+            for side, result in zip(("parent", "change"), results)
+            if not run_ok(result)
+        ]
+        if bad:
+            print(f"\nFAIL: runs not correct or with failed operations: {', '.join(bad)}")
+            failed = True
+        print()
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from repro.experiments.common import (
     positive_int,
     settings_from_args,
     supervision_from_args,
+    worker_env_error,
 )
 from repro.faults.profile import FAULT_PROFILES
 from repro.sim.supervisor import EXIT_SALVAGED, SupervisorReport
@@ -888,14 +889,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # Without --jobs the grid's width falls back to REPRO_JOBS (after
-    # REPRO_SWEEP_PROCESSES; see repro.sim.sweep.run_jobs): check it
-    # before any replay starts.
-    if (
-        args.processes is None
-        and not os.environ.get("REPRO_SWEEP_PROCESSES")
-        and _resolve_jobs_or_report(None, 1) is None
-    ):
+    # Without --jobs the grid's width falls back to the environment:
+    # check it before any replay starts.
+    error = worker_env_error(args.processes)
+    if error is not None:
+        print(f"reqblock-sim: error: {error}", file=sys.stderr)
         return 2
     module = importlib.import_module(_EXPERIMENTS[args.name])
     settings = settings_from_args(args)

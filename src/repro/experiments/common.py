@@ -10,13 +10,16 @@ paper scale (``scale=1.0``) or the fast default (1/16).
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.metrics import ReplayMetrics
+from repro.sim.parallel import JOBS_ENV, env_count
 from repro.sim.progress import make_progress_printer
 from repro.sim.supervisor import Supervision, SupervisorReport
-from repro.sim.sweep import SweepJob, run_jobs
+from repro.sim.sweep import SWEEP_PROCESSES_ENV, SweepJob, run_jobs
 from repro.traces.model import PAGE_SIZE_BYTES
 from repro.traces.workloads import (
     DEFAULT_SCALE,
@@ -35,6 +38,7 @@ __all__ = [
     "supervision_from_args",
     "settings_from_args",
     "finish_experiment",
+    "worker_env_error",
 ]
 
 
@@ -289,8 +293,6 @@ def finish_experiment(settings: ExperimentSettings) -> int:
     stderr so the degradation is visible even when stdout is captured
     into a figure pipeline.
     """
-    import sys
-
     from repro.sim.supervisor import EXIT_SALVAGED
 
     if not settings.report.salvaged:
@@ -302,8 +304,35 @@ def finish_experiment(settings: ExperimentSettings) -> int:
     return EXIT_SALVAGED
 
 
+def worker_env_error(processes: Optional[int]) -> Optional[str]:
+    """Why the worker count a grid falls back to is unusable, or None.
+
+    Without ``processes`` (``--jobs``) the grid's width comes from
+    ``REPRO_SWEEP_PROCESSES``, else ``REPRO_JOBS`` (see
+    :func:`repro.sim.sweep.run_jobs`); the message names the variable
+    the grid would read when it is not an integer >= 1.
+    """
+    if processes is not None:
+        return None
+    try:
+        if env_count(SWEEP_PROCESSES_ENV) is None:
+            env_count(JOBS_ENV)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
-    """Build settings from the standard argparse options."""
+    """Build settings from the standard argparse options.
+
+    Exits with status 2, a usage error, when the worker-count
+    environment variable the grid would fall back to is unusable (see
+    :func:`worker_env_error`).
+    """
+    error = worker_env_error(args.processes)
+    if error is not None:
+        print(f"{os.path.basename(sys.argv[0])}: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
     checkpoint = getattr(args, "checkpoint", None)
     resume = getattr(args, "resume", None)
     return ExperimentSettings(

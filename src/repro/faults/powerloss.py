@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.faults.profile import FaultProfile
 from repro.faults.report import PowerLossReport
 from repro.obs.events import PowerLoss, RecoveryComplete
-from repro.ssd.flash import FlashOutOfSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ssd.controller import SSDController
@@ -74,13 +73,11 @@ def inject_power_loss(
     )
     saved = 0
     if capacitor_pages > 0:
-        for lpn in batch.lpns[:capacitor_pages]:
-            try:
-                controller.ftl.write_page(lpn, now)
-            except FlashOutOfSpace as exc:
-                controller.enter_degraded(str(exc), now)
-                break
-            saved += 1
+        _xfer_done, saved, err = controller.ftl.write_batch(
+            batch.lpns[:capacitor_pages], now
+        )
+        if err is not None:
+            controller.enter_degraded(str(err), now)
         controller.flushed_pages += saved
     lost_lpns = batch.lpns[saved:]
     report = PowerLossReport(

@@ -59,6 +59,7 @@ __all__ = [
     "ShardPlan",
     "resolve_start_method",
     "resolve_jobs",
+    "env_count",
     "derive_shard_seed",
     "run_shards",
     "plan_segments",
@@ -123,6 +124,25 @@ def resolve_start_method(preferred: Optional[str] = None) -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+def env_count(name: str) -> Optional[int]:
+    """The worker count in environment variable ``name``; None when it
+    is unset or empty.
+
+    Raises ``ValueError`` naming the variable when it is not an integer
+    >= 1.
+    """
+    env = os.environ.get(name)
+    if not env:
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {env!r}")
+    return value
+
+
 def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
     """Effective worker count: explicit > ``REPRO_JOBS`` > CPU count,
     clamped to the task count and floored at 1.
@@ -132,18 +152,7 @@ def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
     variable).
     """
     if jobs is None:
-        env = os.environ.get(JOBS_ENV)
-        if not env:
-            jobs = os.cpu_count() or 1
-        else:
-            try:
-                jobs = int(env)
-            except ValueError:
-                jobs = 0
-            if jobs < 1:
-                raise ValueError(
-                    f"{JOBS_ENV} must be an integer >= 1, got {env!r}"
-                )
+        jobs = env_count(JOBS_ENV) or os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return max(1, min(jobs, n_tasks or 1))

@@ -23,18 +23,21 @@ The start method follows :func:`repro.sim.parallel.resolve_start_method`
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.metrics import ReplayMetrics
-from repro.sim.parallel import run_shards
+from repro.sim.parallel import env_count, run_shards
 from repro.sim.progress import ProgressCallback
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.traces.model import Trace
 from repro.traces.workloads import DEFAULT_SCALE, PAPER_WORKLOADS, get_workload
 
 __all__ = ["SweepJob", "run_jobs", "grid_jobs"]
+
+#: Environment override for a sweep's worker count (``processes=``
+#: wins over it; ``REPRO_JOBS`` is the fallback).
+SWEEP_PROCESSES_ENV = "REPRO_SWEEP_PROCESSES"
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,10 @@ def run_jobs(
 
     ``processes`` defaults to ``REPRO_SWEEP_PROCESSES``, then the
     engine's resolution (``REPRO_JOBS`` or the CPU count), capped at
-    the job count; 1 means run inline with no pool.  Worker failures
-    raise :class:`repro.sim.parallel.ShardError` with the failing job
-    and its traceback.
+    the job count; 1 means run inline with no pool.  Either variable
+    set to anything but an integer >= 1 raises ``ValueError`` naming
+    it.  Worker failures raise :class:`repro.sim.parallel.ShardError`
+    with the failing job and its traceback.
 
     ``supervision`` / ``checkpoint_path`` / ``resume`` switch the
     fan-out to :func:`repro.sim.supervisor.run_shards_supervised`
@@ -144,8 +148,7 @@ def run_jobs(
     """
     jobs = list(jobs)
     if processes is None:
-        env = os.environ.get("REPRO_SWEEP_PROCESSES")
-        processes = int(env) if env else None
+        processes = env_count(SWEEP_PROCESSES_ENV)
     supervised = (
         supervision is not None
         or checkpoint_path is not None

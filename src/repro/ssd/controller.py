@@ -15,20 +15,22 @@ array.  Service semantics (see DESIGN.md §5):
 * a **read** completes when its last page is available — immediately
   for cache hits, after the scheduled flash read otherwise.  A
   request's read misses reach the FTL as one ``read_batch`` call, all
-  issued at the arrival time (page by page under the phase profiler);
+  issued at the arrival time;
 * a **write** whose outcome carries read misses (BPLRU page padding)
   reads them first, as one ``read_batch`` at its arrival, and issues
   its flushes when the reads end: a padded block cannot be programmed
   before its missing pages are in;
-* flush batches stripe across planes via the FTL's dynamic allocator
-  unless the batch is pinned (``FlushBatch.pin_key``, BPLRU), in which
-  case every page programs into one plane and the batch serialises on
-  that plane's chip and channel;
-* garbage collection runs inside the FTL's host write path
-  (``PageFTL.write_batch``, or ``write_page`` on the per-page paths)
-  when a program leaves its plane below the free-space threshold; the
-  victim's valid pages move through ``PageFTL.migrate_block`` (the loop
-  the bad-block rescue shares), occupying that plane's timeline.
+* flush batches reach the FTL as ``write_batch`` calls (one per
+  request when none of its batches is pinned) and stripe across planes
+  via the FTL's dynamic allocator unless the batch is pinned
+  (``FlushBatch.pin_key``, BPLRU), in which case every page programs
+  into one plane and the batch serialises on that plane's chip and
+  channel;
+* garbage collection runs inside ``PageFTL.write_batch``, the one host
+  write loop, when a program leaves its plane below the free-space
+  threshold; the victim's valid pages move through
+  ``PageFTL.migrate_block`` (the loop the bad-block rescue shares),
+  occupying that plane's timeline.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.ssd.config import SSDConfig
-from repro.ssd.flash import FlashArray, FlashOutOfSpace
+from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import PageFTL
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.geometry import Geometry
@@ -146,10 +148,11 @@ class SSDController:
             snapshot, so the hot path pays nothing.  ``None`` keeps
             metrics disabled.
         profiler:
-            Phase profiler (see :mod:`repro.obs.profile`); threaded into
-            the FTL and GC so replay wall-clock time decomposes into
-            ``cache_access`` / ``flush`` / ``ftl`` / ``gc`` / ``read``
-            phases.  ``None`` keeps profiling disabled.
+            Phase profiler (see :mod:`repro.obs.profile`): the
+            controller opens ``cache_access`` / ``flush`` / ``read``
+            and one ``ftl`` phase per FTL call, and the GC its ``gc``
+            phase, so replay wall-clock time decomposes into them.
+            ``None`` keeps profiling disabled.
         """
         self.config = config
         self.policy = policy
@@ -188,7 +191,6 @@ class SSDController:
                 self.gc,
                 tracer=self.tracer,
                 faults=faults,
-                profiler=self.profiler,
             )
         else:
             from repro.ssd.dftl import CachedMappingFTL
@@ -202,26 +204,7 @@ class SSDController:
                 mapping_cache_bytes=mapping_cache_bytes,
                 tracer=self.tracer,
                 faults=faults,
-                profiler=self.profiler,
             )
-        # Flush-loop write entry point: the profiler wrapper in
-        # ``PageFTL.write_page`` costs a call + branch per flushed page,
-        # so when profiling is off — and the FTL is exactly the base
-        # class (CachedMappingFTL overrides ``write_page`` to charge
-        # translation misses, which must not be bypassed) — bind the
-        # implementation directly.
-        if type(self.ftl) is PageFTL and not self.profiler.enabled:
-            self._write_page = self.ftl._write_page_impl
-            # Bulk flush entry point: one ``write_batch`` call per batch
-            # (and one per *request* when every batch is unpinned)
-            # instead of a Python-level call per page.  Gated exactly
-            # like ``_write_page``: the base FTL only, profiling off —
-            # the batch path reproduces the per-page sequence, so
-            # phase accounting is the only thing it would blur.
-            self._use_batch = True
-        else:
-            self._write_page = self.ftl.write_page
-            self._use_batch = False
         # Cost-aware policies (ECR) may ask the device for flush
         # backlog estimates; inject the narrow feedback adapter.
         if hasattr(policy, "set_device_feedback"):
@@ -355,10 +338,10 @@ class SSDController:
             )
         if flushes:
             flush_at = space_ready
-            # Single-page policies (LRU) emit one batch per evicted
-            # page; skip the profiler wrapper per batch when it's off.
+            # ``_flush`` is ``_flush_impl`` under the ``flush`` phase.
+            flush = self._flush_impl if not prof.enabled else self._flush
             combined: "list | None" = None
-            if len(flushes) > 1 and self._use_batch:
+            if len(flushes) > 1:
                 # All-unpinned eviction burst: concatenating preserves
                 # the page program order, the arrival time and the
                 # accounting of the per-batch loop exactly (see
@@ -370,9 +353,8 @@ class SSDController:
                         break
                     combined.extend(b.lpns)
             if combined is not None:
-                space_ready = self._flush_impl(FlushBatch(combined), flush_at)
+                space_ready = flush(FlushBatch(combined), flush_at)
             else:
-                flush = self._flush_impl if not prof.enabled else self._flush
                 for batch in flushes:
                     t = flush(batch, flush_at)
                     if t > space_ready:
@@ -398,18 +380,14 @@ class SSDController:
 
     def _read_profiled(self, lpns: List[int], now: float) -> float:
         """``ftl.read_batch(lpns, now)`` under the ``"read"`` profile
-        phase, reading page by page so ``"ftl"`` time nests per page."""
+        phase, the FTL call nested under ``"ftl"``."""
         prof = self.profiler
         prof.start("read")
+        prof.start("ftl")
         try:
-            done = now
-            read_page = self.ftl.read_page
-            for lpn in lpns:
-                end = read_page(lpn, now).end
-                if end > done:
-                    done = end
-            return done
+            return self.ftl.read_batch(lpns, now)
         finally:
+            prof.stop()
             prof.stop()
 
     # ------------------------------------------------------------------
@@ -448,49 +426,24 @@ class SSDController:
             # cross-channel parallelism.
             channel = self.ftl.pinned_channel_for(batch.pin_key)
             planes = self.ftl.planes_of_channel(channel)
-        if self._use_batch:
-            # Bulk path: one call into the FTL services the whole batch
-            # with the per-page bookkeeping fused (see
-            # PageFTL.write_batch); ``done`` already excludes a page
-            # whose post-write GC raised, mirroring the loops below.
+        # ``self.ftl`` is looked up per call: the layered benchmark
+        # swaps in a timing proxy after construction.
+        prof = self.profiler
+        if not prof.enabled:
             xfer_done, done, err = self.ftl.write_batch(lpns, now, planes)
-            if err is not None:
-                self.enter_degraded(str(err), now)
-                self.degraded.flush_pages_dropped += len(lpns) - done
-            self.flushed_pages += done
-            return xfer_done
-        xfer_done = now
-        write_page = self._write_page
-        done = 0
-        if planes is None:
-            for lpn in lpns:
-                try:
-                    op = write_page(lpn, now)
-                except FlashOutOfSpace as exc:
-                    # GC could not reclaim space: latch degraded mode
-                    # and drop the rest of the batch.  The failing page
-                    # may have been programmed before its post-write GC
-                    # raised; counting it dropped is the conservative
-                    # accounting.
-                    self.enter_degraded(str(exc), now)
-                    self.degraded.flush_pages_dropped += len(lpns) - done
-                    break
-                t = op.xfer_end
-                if t > xfer_done:
-                    xfer_done = t
-                done += 1
         else:
-            for i, lpn in enumerate(lpns):
-                try:
-                    op = write_page(lpn, now, plane=planes[i % len(planes)])
-                except FlashOutOfSpace as exc:
-                    self.enter_degraded(str(exc), now)
-                    self.degraded.flush_pages_dropped += len(lpns) - i
-                    break
-                t = op.xfer_end
-                if t > xfer_done:
-                    xfer_done = t
-                done += 1
+            prof.start("ftl")
+            try:
+                xfer_done, done, err = self.ftl.write_batch(lpns, now, planes)
+            finally:
+                prof.stop()
+        if err is not None:
+            # GC could not reclaim space: latch degraded mode and drop
+            # the rest of the batch.  A page programmed before its
+            # post-write GC raised is not in ``done``; counting it
+            # dropped is the conservative accounting.
+            self.enter_degraded(str(err), now)
+            self.degraded.flush_pages_dropped += len(lpns) - done
         self.flushed_pages += done
         return xfer_done
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ssd.config import SSDConfig
-from repro.ssd.flash import FlashArray
+from repro.ssd.flash import FlashArray, FlashOutOfSpace
 from repro.ssd.ftl import PageFTL
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.geometry import Geometry
@@ -84,17 +84,9 @@ class CachedMappingFTL(PageFTL):
         mapping_cache_bytes: int = 1 << 20,
         tracer=None,
         faults=None,
-        profiler=None,
     ) -> None:
         super().__init__(
-            config,
-            geometry,
-            flash,
-            resources,
-            gc,
-            tracer=tracer,
-            faults=faults,
-            profiler=profiler,
+            config, geometry, flash, resources, gc, tracer=tracer, faults=faults
         )
         require_positive(mapping_cache_bytes, "mapping_cache_bytes")
         self.entries_per_tp = config.page_size_bytes // MAPPING_ENTRY_BYTES
@@ -150,12 +142,29 @@ class CachedMappingFTL(PageFTL):
     # ------------------------------------------------------------------
     # Host path: translate, then defer to the plain page FTL.
     # ------------------------------------------------------------------
-    def write_page(
-        self, lpn: int, now: float, plane: Optional[int] = None
-    ) -> OpTimes:
-        """Translate (possibly via flash), then program as PageFTL does."""
-        ready = self._translate(lpn, now, dirty=True)
-        return super().write_page(lpn, ready, plane=plane)
+    def write_batch(
+        self,
+        lpns: List[int],
+        now: float,
+        planes: Optional[List[int]] = None,
+    ) -> "tuple[float, int, Optional[FlashOutOfSpace]]":
+        """Per page, translate then program (a :meth:`PageFTL.write_batch`
+        of one page, issued when its translation is ready), so each page
+        pays its own translation charge; returns what ``PageFTL``'s
+        does."""
+        xfer_done = now
+        write_one = super().write_batch
+        n_pl = len(planes) if planes else 0
+        for i, lpn in enumerate(lpns):
+            ready = self._translate(lpn, now, dirty=True)
+            t, _done, err = write_one(
+                [lpn], ready, [planes[i % n_pl]] if planes else None
+            )
+            if err is not None:
+                return xfer_done, i, err
+            if t > xfer_done:
+                xfer_done = t
+        return xfer_done, len(lpns), None
 
     def read_page(self, lpn: int, now: float) -> OpTimes:
         """Translate (possibly via flash), then read as PageFTL does."""

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.faults.injector import MAX_PROGRAM_ATTEMPTS, NULL_FAULTS
 from repro.obs.events import FlashWrite, GcMigrate
-from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.ssd.config import SSDConfig
 from repro.ssd.flash import FlashArray, FlashOutOfSpace
@@ -68,7 +67,6 @@ class PageFTL:
         "stats",
         "tracer",
         "faults",
-        "profiler",
         "_map",
         "_n_mapped",
         "_rmap",
@@ -78,6 +76,7 @@ class PageFTL:
         "_ppb",
         "_gc_thr",
         "_n_planes",
+        "_last_op",
     )
 
     def __init__(
@@ -89,7 +88,6 @@ class PageFTL:
         gc: GarbageCollector,
         tracer: Optional[Tracer] = None,
         faults: "FaultInjector | None" = None,
-        profiler: "PhaseProfiler | None" = None,
     ) -> None:
         # The write and migration loops inline ResourceTimelines'
         # scheduling arithmetic, so any other timelines class (a
@@ -108,10 +106,6 @@ class PageFTL:
         #: Fault injector hook (see :mod:`repro.faults`); the disabled
         #: default costs one attribute load + branch per flash op.
         self.faults = faults if faults is not None else NULL_FAULTS
-        #: Phase profiler; host programs/reads accumulate under the
-        #: ``"ftl"`` phase (GC time nested within is excluded from its
-        #: self time).
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.stats = FTLStats()
         # Forward table: flat list indexed by LPN (-1 = unmapped), grown
         # lazily to the trace's footprint.  A list probe is ~2x cheaper
@@ -136,15 +130,18 @@ class PageFTL:
                     order.append(chip * config.planes_per_chip + plane_in_chip)
         self._alloc_order = order
         self._rr = 0
-        # Fast-path constants: the per-page write path below inlines the
-        # flash allocate/program bookkeeping and the GC trigger check,
-        # so it needs the block geometry and the collector's exact
-        # free-block threshold as plain ints.
+        # Write-loop constants: ``write_batch`` inlines the flash
+        # allocate/program bookkeeping and the GC trigger check, so it
+        # needs the block geometry and the collector's exact free-block
+        # threshold as plain ints.
         self._ppb = config.pages_per_block
         self._gc_thr = gc._thr_blocks
         # The read path places unmapped reads by plane count; the config
         # derives it through two properties per access.
         self._n_planes = config.n_planes
+        #: ``(start, xfer_end, end)`` of the last program attempt
+        #: ``write_batch`` scheduled; ``write_page`` returns it.
+        self._last_op = (0.0, 0.0, 0.0)
 
     # ------------------------------------------------------------------
     # Queries
@@ -187,14 +184,6 @@ class PageFTL:
     # ------------------------------------------------------------------
     # Host operations
     # ------------------------------------------------------------------
-    def _next_plane(self) -> int:
-        order = self._alloc_order
-        rr = self._rr
-        plane = order[rr]
-        rr += 1
-        self._rr = rr if rr < len(order) else 0
-        return plane
-
     def pinned_channel_for(self, key: int) -> int:
         """A deterministic channel for callers that pin batches (BPLRU):
         batch ``key`` (the logical block number) always maps to the same
@@ -218,102 +207,22 @@ class PageFTL:
     ) -> OpTimes:
         """Program the current data of ``lpn``; returns the op's timing.
 
-        Invalidates any previous physical copy, allocates in ``plane``
-        (or the next plane in the stripe rotation), and runs GC on that
-        plane afterwards if it crossed the free-space threshold.  The
-        returned end time does *not* include GC — GC is background work
-        that occupies the plane timeline and delays later operations.
+        The single-page API: a :meth:`write_batch` of one page, pinned
+        to ``plane`` when given.  Invalidates any previous physical
+        copy, allocates in ``plane`` (or the next plane in the stripe
+        rotation), and runs GC on that plane afterwards if it crossed
+        the free-space threshold.  The returned end time does *not*
+        include GC — GC is background work that occupies the plane
+        timeline and delays later operations.  Raises the
+        ``FlashOutOfSpace`` that stopped the write, also one raised by
+        the post-write GC.
         """
-        prof = self.profiler
-        if not prof.enabled:
-            return self._write_page_impl(lpn, now, plane)
-        prof.start("ftl")
-        try:
-            return self._write_page_impl(lpn, now, plane)
-        finally:
-            prof.stop()
-
-    def _write_page_impl(
-        self, lpn: int, now: float, plane: Optional[int] = None
-    ) -> OpTimes:
-        if self.faults.enabled:
-            return self._write_page_faulty(lpn, now, plane)
-        # Fault-free fast path: every host program runs through here, so
-        # the flash allocate/program/invalidate bookkeeping and the GC
-        # trigger check are inlined (same statements, same order as the
-        # FlashArray methods — the state-machine guard checks those
-        # methods perform are invariants here, enforced by the fuzz and
-        # property tests on the method path).
-        if plane is None:
-            order = self._alloc_order
-            rr = self._rr
-            target_plane = order[rr]
-            rr += 1
-            self._rr = rr if rr < len(order) else 0
-        else:
-            target_plane = plane
-        flash = self.flash
-        ppb = self._ppb
-        write_ptr = flash.write_ptr
-        # Allocate in the host stream's active block (allocation
-        # precedes invalidation of the old copy so that an out-of-space
-        # failure leaves the mapping untouched — crash-consistent).
-        block = flash.active_block[target_plane]
-        ptr = write_ptr[block]
-        if ptr >= ppb:
-            block = flash._pop_free_block(target_plane)
-            flash.active_block[target_plane] = block
-            ptr = write_ptr[block]
-        ppn = block * ppb + ptr
-        write_ptr[block] = ptr + 1
-        # Inlined ResourceTimelines.schedule_program (same statements,
-        # same order — see that method's docstring for the timing shape).
-        res = self.resources
-        channel = res._chan_of[target_plane]
-        bus_free = res.bus_free
-        plane_free = res.plane_free
-        xfer = res._xfer
-        prog_ms = res._prog_ms
-        busy = bus_free[channel]
-        start = now if now > busy else busy
-        xfer_end = start + xfer
-        busy = plane_free[target_plane]
-        prog_start = xfer_end if xfer_end > busy else busy
-        end = prog_start + prog_ms
-        bus_free[channel] = xfer_end
-        plane_free[target_plane] = end
-        res.bus_busy_ms[channel] += xfer
-        res.plane_busy_ms[target_plane] += prog_ms
-        op = OpTimes(start, xfer_end, end)
-        m = self._map
-        if lpn >= len(m):
-            m.extend([-1] * (lpn + 1 - len(m)))
-        rmap = self._rmap
-        page_state = flash.page_state
-        valid_count = flash.valid_count
-        old = m[lpn]
-        if old >= 0:
-            page_state[old] = 2  # PageState.INVALID
-            valid_count[old // ppb] -= 1
-            if self._rmap_list:
-                rmap[old] = -1
-            else:
-                del rmap[old]
-        else:
-            self._n_mapped += 1
-        page_state[ppn] = 1  # PageState.VALID
-        valid_count[block] += 1
-        seq = flash.total_programs + 1
-        flash.total_programs = seq
-        flash.last_program_seq[block] = seq
-        m[lpn] = ppn
-        rmap[ppn] = lpn
-        self.stats.host_programs += 1
-        if self.tracer.enabled:
-            self.tracer.emit(FlashWrite(now, lpn, ppn, target_plane))
-        if len(flash.free_blocks[target_plane]) < self._gc_thr:
-            self.gc.collect(self, target_plane, op.end)
-        return op
+        _xfer_done, _done, err = self.write_batch(
+            [lpn], now, None if plane is None else [plane]
+        )
+        if err is not None:
+            raise err
+        return OpTimes(*self._last_op)
 
     def write_batch(
         self,
@@ -321,44 +230,46 @@ class PageFTL:
         now: float,
         planes: Optional[List[int]] = None,
     ) -> "tuple[float, int, Optional[FlashOutOfSpace]]":
-        """Program a whole flush batch; the controller's bulk write path.
+        """Program a whole flush batch, every page issued at ``now``.
 
-        Equivalent to calling :meth:`write_page` per LPN (same
-        statements, same order per page) but with the per-page locals —
-        flash arrays, resource timelines, the mapping tables, the plane
-        rotation and the program sequence counter — hoisted out of the
-        loop, which is where most of the flush wall-clock goes.
+        The one loop that programs host pages.  Per page, in order:
+
+        1. pick the target plane — ``planes[i % len(planes)]`` for a
+           pinned batch, else the next plane of the channel-fastest
+           rotation;
+        2. allocate in that plane's host active block and schedule the
+           program (bus transfer, then cell program);
+        3. with fault injection on, hand the page to
+           ``faults.on_program``: each failure burns it, rescues and
+           retires its block, and the page is allocated and scheduled
+           again at the failed attempt's end (at most
+           ``MAX_PROGRAM_ATTEMPTS`` attempts);
+        4. look up the old copy — only now, since a rescue may have
+           relocated it — invalidate it, mark the new page VALID and
+           map it;
+        5. with a tracer attached, sync the counters and emit
+           ``FlashWrite`` (an invariant checker validates the device at
+           that event);
+        6. run GC on the plane if it fell below its free-block
+           threshold.
+
+        The ``FlashArray`` allocate/invalidate/program bookkeeping and
+        the ``ResourceTimelines.schedule_program`` arithmetic are
+        inlined (same float operations, same order as those methods;
+        their state guards are invariants here, pinned by
+        ``tests/ssd/test_write_batch.py``), and the per-page locals —
+        flash arrays, timelines, the mapping tables, the plane rotation
+        and the program sequence counter — are hoisted out of the loop.
 
         Returns ``(xfer_done, done, err)``: the latest bus-transfer end
-        among the pages the controller should account (matching the
-        per-page loop, a page whose *post-write GC* raised is programmed
-        but neither counted in ``done`` nor folded into ``xfer_done``),
-        the number of pages to account, and the ``FlashOutOfSpace`` that
-        stopped the batch (None when it completed).
-
-        With fault injection enabled or a tracer attached the method
-        degrades to the per-page calls, keeping the injected and
-        observed slow paths authoritative (a tracer's invariant checker
-        validates at every ``FlashWrite``, so the counters it reads must
-        be synced per page, not per batch).
+        among the accounted pages (``now`` when none was), the number
+        of pages to account, and the ``FlashOutOfSpace`` that stopped
+        the batch (None when it completed).  A page whose *post-write
+        GC* raised is programmed but not accounted.
         """
-        if self.faults.enabled or self.tracer.enabled:
-            xfer_done = now
-            done = 0
-            n_pl = len(planes) if planes else 0
-            try:
-                for i, lpn in enumerate(lpns):
-                    op = self._write_page_impl(
-                        lpn, now, planes[i % n_pl] if planes else None
-                    )
-                    if op.xfer_end > xfer_done:
-                        xfer_done = op.xfer_end
-                    done += 1
-            except FlashOutOfSpace as exc:
-                return xfer_done, done, exc
-            return xfer_done, done, None
         flash = self.flash
         res = self.resources
+        stats = self.stats
         ppb = self._ppb
         gc_thr = self._gc_thr
         write_ptr = flash.write_ptr
@@ -383,11 +294,18 @@ class PageFTL:
         rr = self._rr
         seq = flash.total_programs
         gc_collect = self.gc.collect
+        faults = self.faults
+        faulty = faults.enabled
+        tracer = self.tracer
+        traced = tracer.enabled
         n_pl = len(planes) if planes else 0
         xfer_done = now
         done = 0
-        programmed = 0  # host programs issued (== done unless GC raised)
+        # Host programs and new mappings not yet added to the counters
+        # (synced per page when traced, else once after the loop).
+        programmed = 0
         n_mapped_add = 0
+        start = xfer_end = end = now
         err: Optional[FlashOutOfSpace] = None
         try:
             for i, lpn in enumerate(lpns):
@@ -398,6 +316,9 @@ class PageFTL:
                         rr = 0
                 else:
                     target_plane = planes[i % n_pl]
+                # Allocation precedes invalidation of the old copy, so an
+                # out-of-space failure leaves the mapping untouched (the
+                # write is lost, the previous version survives).
                 block = active_block[target_plane]
                 ptr = write_ptr[block]
                 if ptr >= ppb:
@@ -417,6 +338,22 @@ class PageFTL:
                 plane_free[target_plane] = end
                 bus_busy[channel] += xfer
                 plane_busy[target_plane] += prog_ms
+                if faulty:
+                    # A rescue migrates pages (bumping the program
+                    # sequence) and may raise part-way: sync the counter
+                    # in and reload it whatever happens.
+                    flash.total_programs = seq
+                    try:
+                        for _ in range(MAX_PROGRAM_ATTEMPTS - 1):
+                            if not faults.on_program(self, ppn, target_plane, end):
+                                break
+                            ppn = flash.allocate_page(target_plane)
+                            start, xfer_end, end = res.schedule_program(
+                                target_plane, end
+                            )
+                    finally:
+                        seq = flash.total_programs
+                    block = ppn // ppb
                 if lpn >= len(m):
                     m.extend([-1] * (lpn + 1 - len(m)))
                 old = m[lpn]
@@ -436,14 +373,20 @@ class PageFTL:
                 m[lpn] = ppn
                 rmap[ppn] = lpn
                 programmed += 1
-                if len(free_blocks[target_plane]) < gc_thr:
-                    # GC relocates pages (bumping the program sequence)
-                    # and may raise: sync the hoisted counters in, run
-                    # it, and reload what it advanced.
+                if traced:
                     flash.total_programs = seq
-                    self._rr = rr
-                    gc_collect(self, target_plane, end)
-                    seq = flash.total_programs
+                    stats.host_programs += programmed
+                    self._n_mapped += n_mapped_add
+                    programmed = n_mapped_add = 0
+                    tracer.emit(FlashWrite(now, lpn, ppn, target_plane))
+                if len(free_blocks[target_plane]) < gc_thr:
+                    # GC relocates pages and may raise after some of
+                    # them: sync the counter in and reload it either way.
+                    flash.total_programs = seq
+                    try:
+                        gc_collect(self, target_plane, end)
+                    finally:
+                        seq = flash.total_programs
                 done += 1
                 if xfer_end > xfer_done:
                     xfer_done = xfer_end
@@ -451,51 +394,10 @@ class PageFTL:
             err = exc
         self._rr = rr
         flash.total_programs = seq
+        stats.host_programs += programmed
         self._n_mapped += n_mapped_add
-        self.stats.host_programs += programmed
+        self._last_op = (start, xfer_end, end)
         return xfer_done, done, err
-
-    def _write_page_faulty(
-        self, lpn: int, now: float, plane: Optional[int] = None
-    ) -> OpTimes:
-        """Write path with fault injection — the original method-call
-        sequence, kept verbatim for the checked/injected slow path."""
-        target_plane = self._next_plane() if plane is None else plane
-        flash = self.flash
-        # Allocation precedes invalidation of the old copy so that an
-        # out-of-space failure leaves the mapping untouched (the write
-        # is lost, the previous version survives — crash-consistent).
-        ppn = flash.allocate_page(target_plane)
-        op = self.resources.schedule_program(target_plane, now)
-        # Each injected program failure burns the page, rescues the
-        # block's live data and retires it; retry on a fresh block.
-        for _ in range(MAX_PROGRAM_ATTEMPTS - 1):
-            if not self.faults.on_program(self, ppn, target_plane, op.end):
-                break
-            ppn = flash.allocate_page(target_plane)
-            op = self.resources.schedule_program(target_plane, op.end)
-        # The old copy is looked up only now: a retirement rescue above
-        # may itself have relocated this LPN's previous version.
-        m = self._map
-        if lpn >= len(m):
-            m.extend([-1] * (lpn + 1 - len(m)))
-        old = m[lpn]
-        if old >= 0:
-            flash.invalidate(old)
-            if self._rmap_list:
-                self._rmap[old] = -1
-            else:
-                del self._rmap[old]
-        else:
-            self._n_mapped += 1
-        flash.program(ppn)
-        m[lpn] = ppn
-        self._rmap[ppn] = lpn
-        self.stats.host_programs += 1
-        if self.tracer.enabled:
-            self.tracer.emit(FlashWrite(now, lpn, ppn, target_plane))
-        self.gc.maybe_collect(self, target_plane, op.end)
-        return op
 
     def read_page(self, lpn: int, now: float) -> OpTimes:
         """Schedule a flash read of ``lpn``.
@@ -504,16 +406,6 @@ class PageFTL:
         a real flash read on a deterministic pseudo-location — the data
         exists on the device even though this replay never wrote it.
         """
-        prof = self.profiler
-        if not prof.enabled:
-            return self._read_page_impl(lpn, now)
-        prof.start("ftl")
-        try:
-            return self._read_page_impl(lpn, now)
-        finally:
-            prof.stop()
-
-    def _read_page_impl(self, lpn: int, now: float) -> OpTimes:
         m = self._map
         ppn = m[lpn] if lpn < len(m) else -1
         if ppn < 0:
@@ -539,8 +431,7 @@ class PageFTL:
         ``FTLStats`` read counters; with fault injection on, the ECC
         retry ladder runs on each mapped page right after its read), but
         with the map, the ``ResourceTimelines.schedule_read`` arithmetic
-        and the latencies hoisted out of the loop.  It runs outside the
-        phase profiler: profiled replays read per page.
+        and the latencies hoisted out of the loop.
         """
         m = self._map
         n_map = len(m)

@@ -291,6 +291,13 @@ class TestSweepFacade:
         (m,) = run_jobs(jobs)
         assert m.policy_name == "lru"
 
+    @pytest.mark.parametrize("env", ["0", "-1", "abc", "2.5"])
+    def test_bad_sweep_env_names_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv("REPRO_SWEEP_PROCESSES", env)
+        job = SweepJob(workload="ts_0", policy="lru", cache_bytes=64 * 4096)
+        with pytest.raises(ValueError, match=f"REPRO_SWEEP_PROCESSES .*{env!r}"):
+            run_jobs([job])
+
     @BOTH_START_METHODS
     def test_sweep_identical_across_start_methods(self, start_method):
         jobs = [

@@ -34,7 +34,7 @@ from repro.faults.profile import FaultProfile
 from repro.obs.events import Event, GcMigrate
 from repro.ssd.config import SSDConfig
 from repro.ssd.dftl import CachedMappingFTL
-from repro.ssd.flash import FlashArray, FlashOutOfSpace
+from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import PageFTL
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.geometry import Geometry
@@ -227,33 +227,21 @@ Stream = List[Tuple[List[int], Optional[List[int]], float, bool]]
 
 def _drive(ftl: PageFTL, stream: Stream) -> List[object]:
     """Feed the stream the way the controller does: one ``write_batch``
-    per batch on the plain FTL, per-page ``write_page`` on DFTL (whose
-    translation charge lives there), ``read_page`` per page for reads
-    (which load DFTL translation pages clean).  Stops at the first
-    out-of-space."""
-    per_page = isinstance(ftl, CachedMappingFTL)
+    per batch (on DFTL each page translated first), ``read_page`` per
+    page for reads (which load DFTL translation pages clean).  Stops at
+    the first out-of-space."""
     out: List[object] = []
     t = 0.0
     for lpns, planes, gap, read in stream:
         t += gap
-        try:
-            if read:
-                for lpn in lpns:
-                    out.append(tuple(x.hex() for x in ftl.read_page(lpn, t)))
-            elif per_page:
-                for i, lpn in enumerate(lpns):
-                    op = ftl.write_page(
-                        lpn, t, planes[i % len(planes)] if planes else None
-                    )
-                    out.append(tuple(x.hex() for x in op))
-            else:
-                xfer_done, done, err = ftl.write_batch(lpns, t, planes)
-                out.append((xfer_done.hex(), done))
-                if err is not None:
-                    out.append(str(err))
-                    break
-        except FlashOutOfSpace as exc:
-            out.append(str(exc))
+        if read:
+            for lpn in lpns:
+                out.append(tuple(x.hex() for x in ftl.read_page(lpn, t)))
+            continue
+        xfer_done, done, err = ftl.write_batch(lpns, t, planes)
+        out.append((xfer_done.hex(), done))
+        if err is not None:
+            out.append(str(err))
             break
     return out
 

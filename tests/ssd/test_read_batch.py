@@ -31,7 +31,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.profile import get_profile
 from repro.ssd.config import SSDConfig
 from repro.ssd.dftl import CachedMappingFTL
-from repro.ssd.flash import FlashArray, FlashOutOfSpace
+from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import PageFTL
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.geometry import Geometry
@@ -89,9 +89,9 @@ def _read_per_page(ftl: PageFTL, lpns: List[int], now: float) -> float:
 
 
 def _drive(ftl: PageFTL, stream: Stream, batched: bool) -> List[str]:
-    """Feed ``stream`` the way the controller does (``write_batch`` on
-    the plain FTL, per-page ``write_page`` on DFTL); returns each read's
-    end, bit-exact, and stops at the first out-of-space."""
+    """Feed ``stream`` the way the controller does (writes through
+    ``write_batch``); returns each read's end, bit-exact, and stops at
+    the first out-of-space."""
     out: List[str] = []
     t = 0.0
     for read, lpns, gap in stream:
@@ -100,16 +100,9 @@ def _drive(ftl: PageFTL, stream: Stream, batched: bool) -> List[str]:
             end = ftl.read_batch(lpns, t) if batched else _read_per_page(ftl, lpns, t)
             out.append(end.hex())
             continue
-        try:
-            if isinstance(ftl, CachedMappingFTL):
-                for lpn in lpns:
-                    ftl.write_page(lpn, t)
-            else:
-                _xfer_done, _done, err = ftl.write_batch(lpns, t)
-                if err is not None:
-                    raise err
-        except FlashOutOfSpace as exc:
-            out.append(str(exc))
+        _xfer_done, _done, err = ftl.write_batch(lpns, t)
+        if err is not None:
+            out.append(str(err))
             break
     return out
 

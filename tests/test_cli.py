@@ -346,6 +346,38 @@ class TestParallelCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("env", ["0", "abc"])
+    def test_bad_sweep_env_is_a_usage_error(self, env, monkeypatch, capsys):
+        """``REPRO_SWEEP_PROCESSES`` comes before ``REPRO_JOBS``; a value
+        that is not an integer >= 1 exits 2 with a message naming it."""
+        monkeypatch.setenv("REPRO_SWEEP_PROCESSES", env)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        argv = ["experiment", "fig10", "--scale", SCALE, "--workloads", "ts_0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "REPRO_SWEEP_PROCESSES" in captured.err and repr(env) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("var", ["REPRO_JOBS", "REPRO_SWEEP_PROCESSES"])
+    def test_standalone_experiment_bad_env_is_a_usage_error(
+        self, var, monkeypatch, capsys
+    ):
+        """``python -m repro.experiments.<name>`` reports a bad worker
+        count variable as a usage error too (exit 2, no replay)."""
+        from repro.experiments import fig10_eviction_batch
+
+        monkeypatch.delenv("REPRO_SWEEP_PROCESSES", raising=False)
+        monkeypatch.setenv(var, "0")
+        argv = ["fig10_eviction_batch.py", "--scale", SCALE, "--workloads", "ts_0"]
+        monkeypatch.setattr("sys.argv", argv)
+        with pytest.raises(SystemExit) as info:
+            fig10_eviction_batch.main()
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{var} must be an integer >= 1, got '0'" in captured.err
+        assert captured.out == ""
+
     def test_bad_jobs_env_unused_with_explicit_jobs(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "0")
         rc = main(

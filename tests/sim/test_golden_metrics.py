@@ -7,9 +7,10 @@ results, bit-exact as ``float.hex`` strings, against a checked-in JSON
 fixture.  The default device is pinned, and so are four GC variants
 (cost-benefit victims, wear-aware victims, a separate GC write stream and
 a DFTL cached mapping table) and the ``harsh`` fault profile, whose ECC
-retry ladder lengthens host reads.  Any behavioural change to a policy,
-the controller, the FTL, GC or the fault path shows up here as a diff —
-deliberate changes are re-pinned with::
+retry ladder lengthens host reads, and so are closed-loop replays of the
+default device at queue depths 1 and 8.  Any behavioural change to a
+policy, the controller, the FTL, GC, the fault path or a replay driver
+shows up here as a diff — deliberate changes are re-pinned with::
 
     pytest tests/sim/test_golden_metrics.py --update-golden
 
@@ -24,11 +25,12 @@ import json
 import random
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 import pytest
 
 import repro.sim.replay as replay_module
+from repro.sim import replay_closed_loop
 from repro.sim.replay import ReplayConfig, replay_trace
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDController
@@ -94,9 +96,17 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
     "harsh": {"fault_profile": "harsh", "fault_seed": 0},
 }
 
+#: Closed-loop queue depths pinned on the default device: one request
+#: in flight (every request waits for the previous one) and a shallow
+#: queue that still overlaps flushes.
+QUEUE_DEPTHS = (1, 8)
 
-def _metrics_fingerprint(policy: str, variant: str = "") -> Dict[str, object]:
-    """The pinned, fully deterministic subset of ReplayMetrics."""
+
+def _metrics_fingerprint(
+    policy: str, variant: str = "", queue_depth: Optional[int] = None
+) -> Dict[str, object]:
+    """The pinned, fully deterministic subset of ReplayMetrics; with a
+    ``queue_depth``, of a closed-loop replay at that depth."""
     overrides = {"ssd": SSD, **VARIANTS.get(variant, {})}
     config = ReplayConfig(policy=policy, cache_bytes=CACHE_BYTES, **overrides)
     with pytest.MonkeyPatch.context() as mp:
@@ -106,7 +116,10 @@ def _metrics_fingerprint(policy: str, variant: str = "") -> Dict[str, object]:
                 "SSDController",
                 functools.partial(SSDController, wear_aware_gc=True),
             )
-        metrics = replay_trace(_golden_trace(), config)
+        if queue_depth is None:
+            metrics = replay_trace(_golden_trace(), config)
+        else:
+            metrics = replay_closed_loop(_golden_trace(), config, queue_depth)
     fingerprint: Dict[str, object] = {
         "page_hits": metrics.pages.hits,
         "page_total": metrics.pages.total,
@@ -192,6 +205,17 @@ def test_golden_gc_variants(variant: str, update_golden: bool) -> None:
             f"{variant}: the golden replay no longer retries any read"
         )
     _check_or_update(["variants", variant], actual, update_golden)
+
+
+@pytest.mark.parametrize("queue_depth", QUEUE_DEPTHS, ids=lambda qd: f"qd{qd}")
+def test_golden_closed_loop(queue_depth: int, update_golden: bool) -> None:
+    """Closed-loop replays of the default device replay to their pinned
+    counts and timing (response time includes host queueing)."""
+    actual = {
+        policy: _metrics_fingerprint(policy, queue_depth=queue_depth)
+        for policy in POLICIES
+    }
+    _check_or_update(["closed_loop", f"qd{queue_depth}"], actual, update_golden)
 
 
 def test_golden_trace_is_stable() -> None:

@@ -38,7 +38,7 @@ from repro.experiments.common import (
 )
 from repro.faults.profile import FAULT_PROFILES
 from repro.sim.supervisor import EXIT_SALVAGED, SupervisorReport
-from repro.sim.replay import ReplayConfig, replay_trace
+from repro.sim.replay import ReplayConfig, replay_closed_loop, replay_trace
 from repro.sim.report import format_table
 from repro.traces.model import Trace
 from repro.traces.msr import load_msr_trace
@@ -484,8 +484,6 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
     )
     try:
         if args.queue_depth is not None:
-            from repro.sim.closed_loop import replay_closed_loop
-
             metrics = replay_closed_loop(trace, config, queue_depth=args.queue_depth)
         else:
             metrics = replay_trace(trace, config)
@@ -1072,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-mb", type=int, default=16)
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument(
-        "--queue-depth", type=int, default=None,
+        "--queue-depth", type=positive_int, default=None, metavar="N",
         help="closed-loop replay with this many outstanding requests "
              "(default: open loop at trace timestamps)",
     )

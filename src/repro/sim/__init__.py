@@ -2,7 +2,6 @@
 export and bootstrap statistics."""
 
 from repro.sim.bootstrap import BootstrapResult, bootstrap_ci, paired_improvement
-from repro.sim.closed_loop import replay_closed_loop
 from repro.sim.export import metrics_to_rows, write_csv, write_json
 from repro.sim.metrics import ReplayMetrics, merge_metrics
 from repro.sim.parallel import (
@@ -19,6 +18,7 @@ from repro.sim.parallel import (
 from repro.sim.replay import (
     ReplayConfig,
     replay_cache_only,
+    replay_closed_loop,
     replay_trace,
     sized_ssd_for,
     written_footprint,

@@ -1,21 +1,38 @@
 """Trace replay: drive a cache policy + SSD model over a trace.
 
-The central experimental harness.  ``replay_trace`` builds a device
-sized for the trace, streams every request through the controller in
-arrival order, and returns a fully-populated
-:class:`~repro.sim.metrics.ReplayMetrics`.
+The central experimental harness.  Three public drivers share one
+private replay loop, ``_replay``: it builds the policy and every
+configured observer (tracer, invariant checker, flight recorder, metrics
+sampler, tenant accountant, eviction digest, list log, telemetry,
+profiler), folds each request's :class:`~repro.ssd.controller.RequestRecord`
+into a :class:`~repro.sim.metrics.ReplayMetrics`, and finalises it.  The
+drivers differ only in how one request is serviced:
 
-A cache-only fast path (``replay_cache_only``) runs a policy without the
-flash timing model — used by the motivation/occupancy analyses
-(Figures 2, 3, 13) and by the δ sweep, where only hit behaviour matters
-and the 3-4x speedup buys a denser parameter grid.
+* ``replay_trace`` — open loop, the paper's methodology: the request
+  goes to an :class:`~repro.ssd.controller.SSDController`, sized for the
+  trace, at its trace timestamp.
+* ``replay_closed_loop`` — at most ``queue_depth`` requests in flight:
+  request *i* is submitted at
+  ``max(arrival_i, completion_{i - queue_depth}, submit_{i-1})`` and its
+  response time counts from its trace arrival, so host-side queueing
+  counts toward latency.  ``queue_depth=None`` reproduces the open loop.
+* ``replay_cache_only`` — the policy alone, recorded with a zero
+  response and no controller or flash timing model.  The
+  motivation/occupancy analyses (Figures 2, 3, 13) and the δ sweep use
+  it: only hit behaviour matters there, and the 3-4x speedup buys a
+  denser parameter grid.
+
+Every :class:`ReplayConfig` option therefore means the same in each
+driver; the device options (SSD geometry, faults, power loss, drain) do
+nothing in a cache-only replay, which has no device.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.cache.base import CachePolicy
 from repro.cache.registry import create_policy
@@ -35,13 +52,14 @@ from repro.sim.tenant import TENANCY_MODES, TenantAccountant
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import RequestRecord, SSDController, _tuple_new
 from repro.ssd.flash import FlashOutOfSpace
-from repro.traces.model import PAGE_SIZE_BYTES, Trace
+from repro.traces.model import PAGE_SIZE_BYTES, IORequest, Trace
 from repro.traces.tenants import TenantMap
 from repro.utils.validation import require_positive
 
 __all__ = [
     "ReplayConfig",
     "replay_trace",
+    "replay_closed_loop",
     "replay_cache_only",
     "resolve_tracer",
     "written_footprint",
@@ -236,54 +254,136 @@ def _resolve_flight(config: ReplayConfig) -> Optional[FlightRecorder]:
     return config.flight if config.flight is not None else active_recorder()
 
 
-def _fold_utilisation(
-    metrics: ReplayMetrics, controller: SSDController, last_submit: float
-) -> None:
-    """Set the plane and bus utilisation fields of ``metrics`` over the
-    replay horizon: the later of the last request's submit time and the
-    moment the last plane goes idle."""
-    horizon = max(last_submit, max(controller.resources.plane_free, default=0.0))
-    plane_u = controller.resources.utilisation(horizon)
-    bus_u = controller.resources.bus_utilisation(horizon)
-    if plane_u:
-        metrics.mean_plane_utilisation = sum(plane_u) / len(plane_u)
-        metrics.max_plane_utilisation = max(plane_u)
-    if bus_u:
-        metrics.mean_bus_utilisation = sum(bus_u) / len(bus_u)
+class _QueueDepthShaper:
+    """Closed-loop submission: at most ``queue_depth`` requests in flight.
+
+    Request *i* reaches the controller at
+    ``max(arrival_i, completion_{i - queue_depth}, submit_{i-1})``, so
+    submissions stay time-ordered (the resource timelines require it),
+    and its response time is completion minus *trace arrival*: host-side
+    queueing counts toward latency, the usual closed-loop convention.
+    ``queue_depth=None`` never waits for a completion.
+    """
+
+    __slots__ = ("_submit", "_depth", "_completions", "last_submit")
+
+    def __init__(
+        self, submit: Callable[[IORequest], RequestRecord], queue_depth: Optional[int]
+    ) -> None:
+        self._submit = submit
+        self._depth = queue_depth
+        #: Completion times of the requests in flight, oldest first.
+        self._completions: Deque[float] = deque()
+        #: When the latest request was submitted.
+        self.last_submit = 0.0
+
+    def submit(self, request: IORequest) -> RequestRecord:
+        completions = self._completions
+        depth = self._depth
+        submit = max(request.time, self.last_submit)
+        if depth is not None and len(completions) >= depth:
+            # The oldest outstanding request must finish before the next
+            # submission slot opens.
+            submit = max(submit, completions.popleft())
+        self.last_submit = submit
+        shifted = (
+            request
+            if submit == request.time
+            else IORequest(submit, request.op, request.lpn, request.npages)
+        )
+        record = self._submit(shifted)
+        completion = submit + record.response_ms
+        if depth is not None:
+            completions.append(completion)
+        return _tuple_new(RequestRecord, (completion - request.time, record.outcome))
 
 
-def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
-    """Replay ``trace`` on the full device model; returns the metrics.
+def _cache_only_step(
+    policy: CachePolicy, profiler: PhaseProfiler
+) -> Callable[[IORequest], RequestRecord]:
+    """The cache-only request step: the policy's ``access``, recorded
+    with a zero response (under the ``cache_access`` phase when
+    profiling)."""
+    access = policy.access
+    profiled = profiler.enabled
 
-    Device-fatal errors (:class:`FlashOutOfSpace` escaping the
-    controller's degraded-mode net) no longer lose the run: the replay
-    stops, the metrics collected so far are finalised, and
-    ``metrics.aborted_reason`` records why (the CLI maps this to a
-    distinct exit code).
+    def step(request: IORequest) -> RequestRecord:
+        if not profiled:
+            return _tuple_new(RequestRecord, (0.0, access(request)))
+        profiler.start("cache_access")
+        try:
+            outcome = access(request)
+        finally:
+            profiler.stop()
+        return _tuple_new(RequestRecord, (0.0, outcome))
+
+    return step
+
+
+def _flash_counters(controller: SSDController) -> Tuple[int, int, int, int]:
+    """Host flush pages, GC migrations, GC erases and flash programs."""
+    gc_stats = controller.gc.stats
+    return (
+        controller.flushed_pages,
+        gc_stats.pages_migrated,
+        gc_stats.blocks_erased,
+        controller.total_flash_writes,
+    )
+
+
+def _replay(
+    trace: Trace,
+    config: ReplayConfig,
+    device: bool = True,
+    queue_depth: Optional[int] = None,
+    closed_loop: bool = False,
+) -> ReplayMetrics:
+    """The one replay driver behind the three public ones.
+
+    Builds the policy and every configured observer, then folds each
+    request's record into the metrics.  With ``device`` the requests go
+    through an :class:`SSDController`, at their arrival times or, with
+    ``closed_loop``, through a :class:`_QueueDepthShaper`; without it the
+    policy alone serves them and no controller is built.
     """
     policy = _build_policy(config)
     tracer, checker = resolve_tracer(config)
-    ssd_config = config.ssd or sized_ssd_for(
-        trace, over_provisioning=config.over_provisioning
-    )
-    profile: Optional[FaultProfile] = get_profile(config.fault_profile)
-    faults = (
-        FaultInjector(profile, seed=config.fault_seed)
-        if profile is not None
-        else None
-    )
     profiler = PhaseProfiler() if config.profile else NULL_PROFILER
-    controller = SSDController(
-        ssd_config,
-        policy,
-        cache_service_ms_per_page=config.cache_service_ms_per_page,
-        gc_victim_policy=config.gc_victim_policy,
-        mapping_cache_bytes=config.mapping_cache_bytes,
-        tracer=tracer,
-        faults=faults,
-        metrics=config.metrics,
-        profiler=profiler if profiler.enabled else None,
-    )
+    controller: Optional[SSDController] = None
+    faults: Optional[FaultInjector] = None
+    profile: Optional[FaultProfile] = None
+    shaper: Optional[_QueueDepthShaper] = None
+    if device:
+        ssd_config = config.ssd or sized_ssd_for(
+            trace, over_provisioning=config.over_provisioning
+        )
+        profile = get_profile(config.fault_profile)
+        if profile is not None:
+            faults = FaultInjector(profile, seed=config.fault_seed)
+        # Looked up in this module at call time: tests swap in a
+        # controller factory with other constructor arguments.
+        controller = SSDController(
+            ssd_config,
+            policy,
+            cache_service_ms_per_page=config.cache_service_ms_per_page,
+            gc_victim_policy=config.gc_victim_policy,
+            mapping_cache_bytes=config.mapping_cache_bytes,
+            tracer=tracer,
+            faults=faults,
+            metrics=config.metrics,
+            profiler=profiler if profiler.enabled else None,
+        )
+        if closed_loop:
+            shaper = _QueueDepthShaper(controller.submit, queue_depth)
+            step = shaper.submit
+        else:
+            step = controller.submit
+    else:
+        if tracer is not None:
+            policy.set_tracer(tracer)
+        if config.metrics is not None:
+            policy.set_metrics(config.metrics)
+        step = _cache_only_step(policy, profiler)
     if checker is not None:
         checker.attach(policy=policy, controller=controller)
     metrics = ReplayMetrics(
@@ -295,43 +395,37 @@ def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
     accountant = _resolve_accountant(config)
     digest = hashlib.sha256() if config.digest_evictions else None
     track_lists = config.log_lists and isinstance(policy, ReqBlockCache)
-    base_flush = base_migrated = base_erases = base_programs = 0
+    flight = _resolve_flight(config)
+    telemetry = make_emitter(len(trace), phase="replay" if device else "cache_only")
+    base = (0, 0, 0, 0)
     power_report = None
-    last_index, last_time = -1, 0.0
 
     # Hoist per-iteration lookups out of the replay loop: the loop body
     # runs once per request, and the config fields and bound methods are
     # loop-invariant.
     warmup = config.warmup_requests
-    power_loss_at = config.power_loss_at
+    power_loss_at = config.power_loss_at if device else None
     sample_interval = config.sample_interval
-    submit = controller.submit
     record_metrics = metrics.record
     metadata_add = metrics.metadata_bytes.add
     policy_metadata_bytes = policy.metadata_bytes
-    recorder_flight = _resolve_flight(config)
-    telemetry = make_emitter(len(trace))
-    gc_stats = controller.gc.stats
-    pages_ratio = metrics.pages
 
+    # The loop leaves ``i`` and ``request`` at the last request it
+    # submitted, the aborted one included.
+    i = -1
     if profiler.enabled:
         profiler.start("replay")
     try:
         for i, request in enumerate(trace):
-            if warmup and i == warmup:
+            if warmup and i == warmup and controller is not None:
                 # Exclude warmup traffic from the flash counters.
-                base_flush = controller.flushed_pages
-                base_migrated = controller.gc.stats.pages_migrated
-                base_erases = controller.gc.stats.blocks_erased
-                base_programs = controller.total_flash_writes
-            last_index = i
-            last_time = request.time
+                base = _flash_counters(controller)
             try:
-                record = submit(request)
+                record = step(request)
                 if power_loss_at is not None and i == power_loss_at:
                     power_report = inject_power_loss(
                         controller,
-                        request.time,
+                        request.time if shaper is None else shaper.last_submit,
                         at_request=i,
                         capacitor_pages=config.capacitor_pages,
                         profile=profile,
@@ -339,10 +433,8 @@ def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
             except FlashOutOfSpace as exc:
                 metrics.aborted_reason = str(exc)
                 metrics.aborted_at_request = i
-                if recorder_flight is not None:
-                    recorder_flight.record_dump(
-                        f"replay_aborted: {exc}", metrics
-                    )
+                if flight is not None:
+                    flight.record_dump(f"replay_aborted: {exc}", metrics)
                 break
             if i < warmup:
                 continue
@@ -353,34 +445,44 @@ def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
                 fold_eviction_digest(digest, record.outcome.flushes)
             if recorder is not None:
                 recorder.record(request, record)
-                sampler.maybe_sample(i, request.time)
+                sampler.maybe_sample(
+                    i, request.time if shaper is None else shaper.last_submit
+                )
             if not i % METADATA_SAMPLE_INTERVAL:
                 metadata_add(policy_metadata_bytes())
                 if telemetry is not None:
-                    telemetry.maybe_emit(
-                        i, pages_ratio.ratio, gc_stats.blocks_erased
-                    )
+                    # A cache-only replay has no GC, hence no erases.
+                    erased = controller.gc.stats.blocks_erased if controller else 0
+                    telemetry.maybe_emit(i, metrics.pages.ratio, erased)
             if track_lists and not i % sample_interval and i > 0:
                 metrics.list_log.append((i, policy.list_page_counts()))
 
-        if config.drain_at_end and len(trace) and not metrics.aborted:
-            controller.drain(trace[len(trace) - 1].time)
+        # When the last request went to the device: its arrival in the
+        # open loop, its submission under queue-depth shaping.
+        last_time = 0.0
+        if i >= 0:
+            last_time = request.time if shaper is None else shaper.last_submit
+        if (
+            config.drain_at_end
+            and controller is not None
+            and i >= 0
+            and not metrics.aborted
+        ):
+            controller.drain(last_time)
     except BaseException as exc:
         # A dying replay (invariant violation, injected chaos, ^C) takes
         # its last-N events with it: snapshot them at the failure site,
         # where the partial metrics are still live, and let the caller
         # (CLI or supervised worker) decide where the dump goes.
-        if recorder_flight is not None:
-            recorder_flight.record_dump(
-                f"exception: {type(exc).__name__}: {exc}", metrics
-            )
+        if flight is not None:
+            flight.record_dump(f"exception: {type(exc).__name__}: {exc}", metrics)
         raise
     finally:
         if profiler.enabled:
             profiler.stop()
 
-    if sampler is not None and last_index >= 0:
-        sampler.finalize(last_index, last_time)
+    if sampler is not None and i >= 0:
+        sampler.finalize(i, last_time)
         metrics.metrics_series = sampler.series
     if profiler.enabled:
         metrics.phase_profile = profiler.as_dict()
@@ -389,35 +491,79 @@ def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
     if accountant is not None:
         metrics.tenants = accountant.stats
 
-    metrics.host_flush_pages = controller.flushed_pages - base_flush
-    metrics.gc_migrated_pages = controller.gc.stats.pages_migrated - base_migrated
-    metrics.gc_erases = controller.gc.stats.blocks_erased - base_erases
-    metrics.flash_total_writes = controller.total_flash_writes - base_programs
-    if len(trace):
-        _fold_utilisation(metrics, controller, trace[len(trace) - 1].time)
-    if (
-        faults is not None
-        or power_report is not None
-        or controller.degraded.active
-        or metrics.aborted
-    ):
-        durability = controller.durability_report()
-        durability.power_loss = power_report
-        metrics.durability = durability
-    if (
-        recorder_flight is not None
-        and recorder_flight.degraded_reason is not None
-    ):
+    if controller is None:
+        # Every evicted page is a host flush, and nothing else programs.
+        flushed = int(sum(size * n for size, n in metrics.eviction_hist.items()))
+        metrics.host_flush_pages = metrics.flash_total_writes = flushed
+    else:
+        flushed, migrated, erased, programs = _flash_counters(controller)
+        metrics.host_flush_pages = flushed - base[0]
+        metrics.gc_migrated_pages = migrated - base[1]
+        metrics.gc_erases = erased - base[2]
+        metrics.flash_total_writes = programs - base[3]
+        if len(trace):
+            # Utilisation over the replay horizon: the later of the last
+            # submission (the open loop's last arrival, even when it
+            # aborted) and the moment the last plane goes idle.
+            resources = controller.resources
+            horizon = max(
+                trace[len(trace) - 1].time if shaper is None else last_time,
+                max(resources.plane_free, default=0.0),
+            )
+            plane_u = resources.utilisation(horizon)
+            bus_u = resources.bus_utilisation(horizon)
+            if plane_u:
+                metrics.mean_plane_utilisation = sum(plane_u) / len(plane_u)
+                metrics.max_plane_utilisation = max(plane_u)
+            if bus_u:
+                metrics.mean_bus_utilisation = sum(bus_u) / len(bus_u)
+        if (
+            faults is not None
+            or power_report is not None
+            or controller.degraded.active
+            or metrics.aborted
+        ):
+            durability = controller.durability_report()
+            durability.power_loss = power_report
+            metrics.durability = durability
+    if flight is not None and flight.degraded_reason is not None:
         # DegradedMode entry is dump-worthy even when the replay ran to
         # completion (the device limped home read-only); first recorded
         # dump wins, so an earlier abort snapshot is never overwritten.
-        recorder_flight.record_dump(
-            f"degraded_mode_entered: {recorder_flight.degraded_reason}",
-            metrics,
-        )
+        flight.record_dump(f"degraded_mode_entered: {flight.degraded_reason}", metrics)
     if checker is not None:
         checker.close()
     return metrics
+
+
+def replay_trace(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
+    """Replay ``trace`` open-loop on the full device model.
+
+    Every request is submitted at its trace timestamp.  Device-fatal
+    errors (:class:`FlashOutOfSpace` escaping the controller's
+    degraded-mode net) do not lose the run: the replay stops, the
+    metrics collected so far are finalised, and
+    ``metrics.aborted_reason`` records why (the CLI maps this to a
+    distinct exit code).
+    """
+    return _replay(trace, config)
+
+
+def replay_closed_loop(
+    trace: Trace,
+    config: ReplayConfig,
+    queue_depth: Optional[int] = 32,
+) -> ReplayMetrics:
+    """Replay ``trace`` with at most ``queue_depth`` requests in flight.
+
+    Returns the same :class:`ReplayMetrics` as ``replay_trace``, with
+    response times measured from the trace arrival, so they include
+    host-side queueing delay.  ``queue_depth=None`` (unbounded)
+    reproduces ``replay_trace``.
+    """
+    if queue_depth is not None:
+        require_positive(queue_depth, "queue_depth")
+    return _replay(trace, config, queue_depth=queue_depth, closed_loop=True)
 
 
 def replay_cache_only(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
@@ -429,96 +575,4 @@ def replay_cache_only(trace: Trace, config: ReplayConfig) -> ReplayMetrics:
     policy never observes the flash backend —
     ``tests/sim/test_replay.py::TestFastPathEquivalence`` pins this.
     """
-    policy = _build_policy(config)
-    tracer, checker = resolve_tracer(config)
-    if tracer is not None:
-        policy.set_tracer(tracer)
-    if checker is not None:
-        checker.attach(policy=policy)
-    if config.metrics is not None:
-        policy.set_metrics(config.metrics)
-    profiler = PhaseProfiler() if config.profile else NULL_PROFILER
-    metrics = ReplayMetrics(
-        trace_name=trace.name,
-        policy_name=config.policy,
-        cache_pages=config.cache_pages,
-    )
-    recorder, sampler = _resolve_recorder(config)
-    accountant = _resolve_accountant(config)
-    digest = hashlib.sha256() if config.digest_evictions else None
-    track_lists = config.log_lists and isinstance(policy, ReqBlockCache)
-    flushed = 0
-    last_index, last_time = -1, 0.0
-
-    # Loop-invariant hoisting, as in ``replay_trace``.
-    warmup = config.warmup_requests
-    sample_interval = config.sample_interval
-    access = policy.access
-    record_metrics = metrics.record
-    metadata_add = metrics.metadata_bytes.add
-    policy_metadata_bytes = policy.metadata_bytes
-    profiled = profiler.enabled
-    recorder_flight = _resolve_flight(config)
-    telemetry = make_emitter(len(trace), phase="cache_only")
-    pages_ratio = metrics.pages
-
-    if profiled:
-        profiler.start("replay")
-    try:
-        for i, request in enumerate(trace):
-            last_index = i
-            last_time = request.time
-            if not profiled:
-                outcome = access(request)
-            else:
-                profiler.start("cache_access")
-                try:
-                    outcome = access(request)
-                finally:
-                    profiler.stop()
-            if i < warmup:
-                continue
-            record = _tuple_new(RequestRecord, (0.0, outcome))
-            record_metrics(request, record)
-            if accountant is not None:
-                accountant.record(request, record)
-            flushes = outcome.flushes
-            if flushes:
-                if digest is not None:
-                    fold_eviction_digest(digest, flushes)
-                for batch in flushes:
-                    flushed += len(batch.lpns)
-            if recorder is not None:
-                recorder.record(request, record)
-                sampler.maybe_sample(i, request.time)
-            if not i % METADATA_SAMPLE_INTERVAL:
-                metadata_add(policy_metadata_bytes())
-                if telemetry is not None:
-                    # Cache-only replays have no GC, hence erases=0.
-                    telemetry.maybe_emit(i, pages_ratio.ratio, 0)
-            if track_lists and not i % sample_interval and i > 0:
-                metrics.list_log.append((i, policy.list_page_counts()))
-    except BaseException as exc:
-        if recorder_flight is not None:
-            recorder_flight.record_dump(
-                f"exception: {type(exc).__name__}: {exc}", metrics
-            )
-        raise
-    finally:
-        if profiler.enabled:
-            profiler.stop()
-
-    if sampler is not None and last_index >= 0:
-        sampler.finalize(last_index, last_time)
-        metrics.metrics_series = sampler.series
-    if profiler.enabled:
-        metrics.phase_profile = profiler.as_dict()
-    if digest is not None:
-        metrics.eviction_digest = digest.hexdigest()
-    if accountant is not None:
-        metrics.tenants = accountant.stats
-    metrics.host_flush_pages = flushed
-    metrics.flash_total_writes = flushed
-    if checker is not None:
-        checker.close()
-    return metrics
+    return _replay(trace, config, device=False)

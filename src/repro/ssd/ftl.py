@@ -495,7 +495,10 @@ class PageFTL:
         operations are scheduled on ``plane``, the read from the
         previous page's program end (``now`` for the first page), the
         program from the read's end; the return value is the last
-        program's end, or ``now`` when no page was valid.
+        program's end, or ``now`` when no page was valid.  A page's
+        destination is allocated before its old copy is invalidated, so
+        when the plane runs out of space (:class:`FlashOutOfSpace`) the
+        LPN stays mapped to its still-valid page.
 
         The ``ResourceTimelines.schedule_read`` / ``schedule_program``
         arithmetic and the ``FlashArray`` allocate/invalidate/program
@@ -549,17 +552,11 @@ class PageFTL:
                 bus_busy += xfer
                 plane_busy += t - cell_start
                 read_end = t
-                # Drop the old copy.
                 lpn = rmap[ppn] if rmap_list else rmap.get(ppn, -1)
                 if lpn < 0:
                     raise ValueError(f"migrate_block: ppn {ppn} holds no live LPN")
-                if rmap_list:
-                    rmap[ppn] = -1
-                else:
-                    del rmap[ppn]
-                page_state[ppn] = 2  # PageState.INVALID
-                valid_count[block] -= 1
-                # Allocate in the GC write point (FlashArray.allocate_page).
+                # Allocate in the GC write point (FlashArray.allocate_page),
+                # before the old copy is dropped.
                 dst = write_points[plane]
                 if dst is None:
                     dst = pop_free(plane)
@@ -572,6 +569,13 @@ class PageFTL:
                     assert ptr == 0, "free-list block was not erased"
                 new_ppn = dst * ppb + ptr
                 write_ptr[dst] = ptr + 1
+                # Drop the old copy.
+                if rmap_list:
+                    rmap[ppn] = -1
+                else:
+                    del rmap[ppn]
+                page_state[ppn] = 2  # PageState.INVALID
+                valid_count[block] -= 1
                 # Program it (ResourceTimelines.schedule_program).  The
                 # read left the bus and the plane free at t, so the
                 # transfer starts at t and the cell program right after.

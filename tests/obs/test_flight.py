@@ -17,8 +17,12 @@ from repro.obs.flight import (
     load_flight_dump,
     write_flight_dump,
 )
+from repro.sim import replay_closed_loop
 from repro.sim.replay import ReplayConfig, replay_trace
 from repro.traces.workloads import get_workload
+from tests.sim.test_golden_metrics import CACHE_BYTES as GOLDEN_CACHE_BYTES
+from tests.sim.test_golden_metrics import SSD as GOLDEN_SSD
+from tests.sim.test_golden_metrics import _golden_trace
 
 SCALE = 1 / 256
 CACHE = 64 * 4096
@@ -163,6 +167,30 @@ class TestReplayIntegration:
         finally:
             deactivate()
         assert rec.n_events > 0
+
+    @pytest.mark.parametrize(
+        "replay",
+        [replay_trace, lambda t, c: replay_closed_loop(t, c, queue_depth=8)],
+        ids=["open_loop", "closed_loop"],
+    )
+    def test_degraded_entry_records_dump(self, replay):
+        """The golden ``harsh`` device latches read-only mode part-way
+        through and limps home: the completed replay still leaves a
+        degraded-entry dump."""
+        rec = FlightRecorder()
+        config = ReplayConfig(
+            policy="lru",
+            cache_bytes=GOLDEN_CACHE_BYTES,
+            ssd=GOLDEN_SSD,
+            fault_profile="harsh",
+            flight=rec,
+        )
+        metrics = replay(_golden_trace(), config)
+        assert not metrics.aborted
+        assert metrics.durability is not None and metrics.durability.degraded
+        assert rec.last_dump is not None
+        assert rec.last_dump["reason"].startswith("degraded_mode_entered: ")
+        assert rec.last_dump["events"]
 
     def test_exception_mid_replay_records_dump(self):
         class _Bomb:

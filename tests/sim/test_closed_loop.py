@@ -6,8 +6,9 @@ import hashlib
 
 import pytest
 
-from repro.sim.closed_loop import replay_closed_loop
+from repro.sim import replay_closed_loop
 from repro.sim.replay import ReplayConfig, replay_trace
+from repro.ssd.controller import SSDController
 
 
 def cfg(**kw):
@@ -71,3 +72,31 @@ class TestClosedLoop:
     def test_requests_counted(self, tiny_trace):
         m = replay_closed_loop(tiny_trace, cfg(), queue_depth=8)
         assert m.n_requests == len(tiny_trace)
+
+    def test_drain_flushes_at_last_submission(self, tiny_trace, monkeypatch):
+        """``drain_at_end`` flushes the cache once, at the time the last
+        request was submitted, and flushes the pages the open loop's
+        drain does (LRU's hits do not depend on timing)."""
+        submitted, drained = [], []
+        real_submit, real_drain = SSDController.submit, SSDController.drain
+
+        def submit(self, request):
+            submitted.append(request.time)
+            return real_submit(self, request)
+
+        def drain(self, now):
+            drained.append(now)
+            return real_drain(self, now)
+
+        monkeypatch.setattr(SSDController, "submit", submit)
+        monkeypatch.setattr(SSDController, "drain", drain)
+        plain = replay_closed_loop(tiny_trace, cfg(), queue_depth=1)
+        open_loop = replay_trace(tiny_trace, cfg(drain_at_end=True))
+        submitted.clear()
+        drained.clear()
+        m = replay_closed_loop(tiny_trace, cfg(drain_at_end=True), queue_depth=1)
+        assert drained == [submitted[-1]]
+        # Queueing pushed the last submission past its trace arrival.
+        assert submitted[-1] > tiny_trace[len(tiny_trace) - 1].time
+        assert m.host_flush_pages > plain.host_flush_pages
+        assert m.host_flush_pages == open_loop.host_flush_pages

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.closed_loop import replay_closed_loop
+from repro.sim import replay_closed_loop
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.traces.model import Trace
 
@@ -147,6 +147,14 @@ class TestReplayProfile:
         plain = replay_trace(tiny_trace, _cfg())
         profiled = replay_trace(tiny_trace, _cfg(profile=True))
         assert plain.summary() == profiled.summary()
+
+    def test_closed_loop_profiles_the_open_loop_phases(self, tiny_trace):
+        open_loop = replay_trace(tiny_trace, _cfg(profile=True))
+        closed = replay_closed_loop(tiny_trace, _cfg(profile=True), queue_depth=8)
+        assert {"replay", "cache_access", "flush", "ftl"} <= set(closed.phase_profile)
+        assert set(closed.phase_profile) == set(open_loop.phase_profile)
+        plain = replay_closed_loop(tiny_trace, _cfg(), queue_depth=8)
+        assert closed.summary() == plain.summary()
 
 
 class TestDftlAndFaultMetrics:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 from types import SimpleNamespace
 
-from repro.sim import telemetry
+from repro.sim import replay_closed_loop, telemetry
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.sim.telemetry import (
     DEFAULT_FRAME_INTERVAL_S,
@@ -183,6 +183,26 @@ class TestReplayIntegration:
         assert frames
         assert all(f.phase == "cache_only" for f in frames)
         assert all(f.gc_erases == 0 for f in frames)
+
+    def test_closed_loop_replay_emits_the_open_loop_frames(self):
+        trace = get_workload("ts_0", SCALE)
+        config = ReplayConfig(policy="lru", cache_bytes=CACHE)
+        runs = {}
+        for name, replay in (
+            ("open", replay_trace),
+            ("closed", lambda t, c: replay_closed_loop(t, c, queue_depth=8)),
+        ):
+            frames = runs[name] = []
+            set_frame_sink(frames.append, interval_s=0.0)
+            try:
+                replay(trace, config)
+            finally:
+                clear_frame_sink()
+        assert runs["closed"]
+        assert [f.requests for f in runs["closed"]] == [
+            f.requests for f in runs["open"]
+        ]
+        assert all(f.phase == "replay" for f in runs["closed"])
 
     def test_no_sink_replay_is_silent(self):
         clear_frame_sink()

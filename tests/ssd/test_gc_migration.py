@@ -74,12 +74,12 @@ class _ReferenceMigration:
                 entry = ftl._cmt.get(ftl._tvpn_of(lpn))
                 if entry is not None:
                     entry.dirty = True
+            new_ppn = flash.allocate_page(plane, stream="gc")
             flash.invalidate(ppn)
             if ftl._rmap_list:
                 ftl._rmap[ppn] = -1
             else:
                 del ftl._rmap[ppn]
-            new_ppn = flash.allocate_page(plane, stream="gc")
             op = ftl.resources.schedule_program(plane, t)
             flash.program(new_ppn)
             ftl._map[lpn] = new_ppn

@@ -176,6 +176,16 @@ class TestMetricsCli:
         assert "cache_access" in out
         assert "ftl" in out
 
+    def test_closed_loop_replay_profile_flag(self, capsys):
+        rc = main(
+            ["replay", "ts_0", "--scale", SCALE, "--queue-depth", "8",
+             "--profile"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "cache_access" in out
+        assert "ftl" in out
+
     def test_compare_profile_flag(self, capsys):
         rc = main(
             ["compare", "ts_0", "--scale", SCALE, "--policies", "lru",
@@ -266,9 +276,12 @@ class TestParallelCli:
             ["replay", "ts_0", "--jobs", "2", "--shards", "0"],
             ["compare", "ts_0", "--jobs", "0"],
             ["experiment", "fig10", "--jobs", "0"],
+            ["replay", "ts_0", "--queue-depth", "0"],
+            ["replay", "ts_0", "--queue-depth", "-1"],
         ],
         ids=["replay-jobs-0", "replay-jobs-neg", "replay-shards-0",
-             "compare-jobs-0", "experiment-jobs-0"],
+             "compare-jobs-0", "experiment-jobs-0", "replay-queue-depth-0",
+             "replay-queue-depth-neg"],
     )
     def test_nonpositive_counts_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -52,16 +52,19 @@ bench-check:
 		--fresh $$(ls -t benchmarks/results/BENCH_*.json | head -1)
 	rm -rf .bench_baseline
 
-# Layered benchmark (BENCHMARK.json): its self-test, then one replay
-# round per workload that must reproduce the summaries and eviction
-# digests pinned in perfbench/expected.json (the CI perf job runs the
-# same steps).
+# Layered benchmark (BENCHMARK.json): its self-test, then one untraced
+# and one traced replay round per workload; each must reproduce the
+# summaries and eviction digests pinned in perfbench/expected.json, and
+# the traced round's layer-by-layer replay must reproduce its
+# end-to-end summary (the CI perf job runs the same steps).
 perfbench:
 	$(PYTHON) -m pytest perfbench -q
 	for w in write-gc read-hot shard-cache-only; do \
-		last="$$($(PYTHON) perfbench/run.py --workload $$w --seconds 0 --trace 0 | tail -n 1)"; \
-		echo "$$w: $$last"; \
-		case "$$last" in *'"correct": true'*) ;; *) exit 1 ;; esac; \
+		for t in 0 1; do \
+			last="$$($(PYTHON) perfbench/run.py --workload $$w --seconds 0 --trace $$t | tail -n 1)"; \
+			echo "$$w trace $$t: $$last"; \
+			case "$$last" in *'"correct": true'*) ;; *) exit 1 ;; esac; \
+		done; \
 	done
 
 # Full paper-scale regeneration (hours of compute).

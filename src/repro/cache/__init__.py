@@ -1,6 +1,12 @@
 """DRAM cache policies: framework, baselines, and the policy registry."""
 
-from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch, WriteBufferPolicy
+from repro.cache.base import (
+    AccessOutcome,
+    CachePolicy,
+    FlushBatch,
+    PageEvictions,
+    WriteBufferPolicy,
+)
 from repro.cache.bplru import BPLRUCache
 from repro.cache.cflru import CFLRUCache
 from repro.cache.ecr import DeviceFeedback, ECRCache
@@ -23,6 +29,7 @@ __all__ = [
     "AccessOutcome",
     "CachePolicy",
     "FlushBatch",
+    "PageEvictions",
     "WriteBufferPolicy",
     "BPLRUCache",
     "CFLRUCache",

@@ -21,8 +21,9 @@ a timing model at all.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, List, Optional
+from typing import ClassVar, Iterable, Iterator, List, Optional
 
 from repro.obs.events import CacheHit, CacheMiss, Evict, Insert
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -30,7 +31,13 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.traces.model import IORequest
 from repro.utils.validation import require_positive
 
-__all__ = ["FlushBatch", "AccessOutcome", "CachePolicy", "WriteBufferPolicy"]
+__all__ = [
+    "FlushBatch",
+    "PageEvictions",
+    "AccessOutcome",
+    "CachePolicy",
+    "WriteBufferPolicy",
+]
 
 
 @dataclass(slots=True)
@@ -48,9 +55,58 @@ class FlushBatch:
         return len(self.lpns)
 
 
+class PageEvictions(Sequence[FlushBatch]):
+    """Read-only run of one-page capacity evictions, in victim order.
+
+    Seen as a sequence it is ``[FlushBatch([lpn]) for lpn in lpns]``:
+    item *i* is built on access as ``FlushBatch([lpns[i]])``, reason
+    ``"capacity"``, no pin, and length, truth, iteration, indexing
+    (slices give that list's slice) and ``==`` against a list match the
+    list's.  LRU's fused ``access`` stores one per evicting request, so
+    it allocates no batch per victim; the hot consumers (the
+    controller's flush path, ``ReplayMetrics.record`` and
+    ``fold_eviction_digest``) test ``type(flushes) is PageEvictions`` and
+    read ``lpns`` whole.
+    """
+
+    __slots__ = ("lpns",)
+
+    def __init__(self, lpns: List[int]) -> None:
+        #: The evicted LPNs, one per batch.
+        self.lpns = lpns
+
+    def __len__(self) -> int:
+        return len(self.lpns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [FlushBatch([lpn]) for lpn in self.lpns[index]]
+        return FlushBatch([self.lpns[index]])
+
+    def __iter__(self) -> Iterator[FlushBatch]:
+        for lpn in self.lpns:
+            yield FlushBatch([lpn])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PageEvictions):
+            return self.lpns == other.lpns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PageEvictions({self.lpns!r})"
+
+
 @dataclass(slots=True)
 class AccessOutcome:
-    """Per-request result of a cache access (page granularity)."""
+    """Per-request result of a cache access (page granularity).
+
+    ``flushes`` is a sequence of :class:`FlushBatch`: the outcome's own
+    list, which policies append to, or — from LRU's fused ``access`` —
+    a :class:`PageEvictions` view over the request's victims.  Read it
+    as a sequence; never mutate it.
+    """
 
     #: Pages found in the cache (read hits + write updates).
     page_hits: int = 0
@@ -61,7 +117,7 @@ class AccessOutcome:
     #: Write pages newly inserted into the cache.
     inserted_pages: int = 0
     #: Evictions triggered while serving this request, in order.
-    flushes: List[FlushBatch] = field(default_factory=list)
+    flushes: "List[FlushBatch] | PageEvictions" = field(default_factory=list)
 
     @property
     def total_pages(self) -> int:

@@ -4,7 +4,9 @@ Classic least-recently-used over individual 4 KB pages: hits promote the
 page to the MRU end, eviction flushes the single least-recently-used
 page.  Every eviction therefore frees exactly one page and issues
 exactly one flash program — the behaviour the paper contrasts with
-batched block/request eviction (Fig. 10).
+batched block/request eviction (Fig. 10).  The fused ``access`` hands a
+request's victims on as one :class:`~repro.cache.base.PageEvictions`
+run, which reads as one single-page ``FlushBatch`` per victim.
 
 The recency order is one :class:`collections.OrderedDict` keyed by LPN,
 LRU end first: a hit is ``move_to_end``, an insert appends and an
@@ -18,7 +20,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable
 
-from repro.cache.base import AccessOutcome, FlushBatch, WriteBufferPolicy
+from repro.cache.base import (
+    AccessOutcome,
+    FlushBatch,
+    PageEvictions,
+    WriteBufferPolicy,
+)
 from repro.traces.model import IORequest, OpType
 
 __all__ = ["LRUCache"]
@@ -55,6 +62,10 @@ class LRUCache(WriteBufferPolicy):
         stay behaviourally identical to the template loop — the traced
         path still uses it, and the fast-path equivalence and
         differential tests pin the eviction sequence.
+
+        The request's victims are collected into one list and handed
+        out as a :class:`PageEvictions` view, not one ``FlushBatch``
+        per evicted page.
         """
         if self.tracer.enabled:
             return self._access_traced(request)
@@ -65,7 +76,9 @@ class LRUCache(WriteBufferPolicy):
         popitem = order.popitem
         capacity = self.capacity_pages
         is_write = request.op is OpType.WRITE
-        flushes = outcome.flushes
+        # The victims' LPNs collect in the outcome's own, still empty,
+        # flush list, which is wrapped at the end: no second list.
+        victims = outcome.flushes
         read_misses = outcome.read_miss_lpns
         hits = misses = inserted = 0
         occ = self._occupancy
@@ -79,7 +92,7 @@ class LRUCache(WriteBufferPolicy):
                     occ -= 1
                     # popitem(last=False), passed positionally: the
                     # keyword form costs more per eviction.
-                    flushes.append(FlushBatch([popitem(False)[0]]))
+                    victims.append(popitem(False)[0])
                 order[lpn] = None
                 occ += 1
                 inserted += 1
@@ -87,6 +100,8 @@ class LRUCache(WriteBufferPolicy):
                 misses += 1
                 read_misses.append(lpn)
         self._occupancy = occ
+        if victims:
+            outcome.flushes = PageEvictions(victims)
         outcome.page_hits = hits
         outcome.page_misses = misses
         outcome.inserted_pages = inserted

@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cache.base import AccessOutcome, FlushBatch
+from repro.cache.base import AccessOutcome, FlushBatch, PageEvictions
 from repro.faults.report import DurabilityReport
 from repro.obs.metrics import DEFAULT_SAMPLE_INTERVAL, MetricsRegistry
 from repro.sim.tenant import TenantStats
@@ -53,9 +53,17 @@ def fold_eviction_digest(hasher: "hashlib._Hash", flushes: Iterable[FlushBatch])
     those goldens.  Order-sensitive by construction: any reordered,
     dropped, or recomposed batch changes the digest.
 
-    A one-page batch (LRU emits one per evicted page) is formatted
-    directly; the f-string is the same text as the ``repr``.
+    A one-page batch is formatted directly; the f-string is the same
+    text as the ``repr``.  LRU's :class:`PageEvictions` run is folded in
+    one ``update`` of those texts joined (LPNs are ints, whose ``str`` is
+    their ``repr``).
     """
+    if type(flushes) is PageEvictions:
+        lpns = flushes.lpns
+        if lpns:
+            text = "((" + ",), None)((".join(map(str, lpns)) + ",), None)"
+            hasher.update(text.encode())
+        return
     for batch in flushes:
         lpns = batch.lpns
         if len(lpns) == 1:
@@ -323,15 +331,19 @@ class ReplayMetrics:
                 samples[j] = x
         flushes = outcome.flushes
         if flushes:
-            # Inlined Histogram.add — LRU emits one single-page batch
-            # per evicted page, so this runs ~3x per request there.
+            # Inlined Histogram.add.
             buckets = self.eviction_hist._buckets
-            buckets_get = buckets.get
-            for batch in flushes:
-                lpns = batch.lpns
-                if lpns:
-                    k = len(lpns)
-                    buckets[k] = buckets_get(k, 0.0) + 1.0
+            if type(flushes) is PageEvictions:
+                # LRU's run: one single-page batch per LPN.  Adding the
+                # count at once is exact (integer-valued floats).
+                buckets[1] = buckets.get(1, 0.0) + len(flushes.lpns)
+            else:
+                buckets_get = buckets.get
+                for batch in flushes:
+                    lpns = batch.lpns
+                    if lpns:
+                        k = len(lpns)
+                        buckets[k] = buckets_get(k, 0.0) + 1.0
 
     # ------------------------------------------------------------------
     # Parallel reduction

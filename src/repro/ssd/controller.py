@@ -21,7 +21,9 @@ array.  Service semantics (see DESIGN.md §5):
   its flushes when the reads end: a padded block cannot be programmed
   before its missing pages are in;
 * flush batches reach the FTL as ``write_batch`` calls (one per
-  request when none of its batches is pinned) and stripe across planes
+  request when none of its batches is pinned; LRU's
+  :class:`~repro.cache.base.PageEvictions` run is passed on whole, as
+  that one call) and stripe across planes
   via the FTL's dynamic allocator unless the batch is pinned
   (``FlushBatch.pin_key``, BPLRU), in which case every page programs
   into one plane and the batch serialises on that plane's chip and
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NamedTuple
 
-from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch
+from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch, PageEvictions
 from repro.faults.degraded import DegradedMode
 from repro.faults.injector import NULL_FAULTS
 from repro.faults.report import DurabilityReport
@@ -341,7 +343,11 @@ class SSDController:
             # ``_flush`` is ``_flush_impl`` under the ``flush`` phase.
             flush = self._flush_impl if not prof.enabled else self._flush
             combined: "list | None" = None
-            if len(flushes) > 1:
+            if type(flushes) is PageEvictions:
+                # LRU's run of one-page unpinned batches: its LPNs are
+                # already the burst the loop below would concatenate.
+                combined = flushes.lpns
+            elif len(flushes) > 1:
                 # All-unpinned eviction burst: concatenating preserves
                 # the page program order, the arrival time and the
                 # accounting of the per-batch loop exactly (see

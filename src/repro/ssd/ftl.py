@@ -72,6 +72,7 @@ class PageFTL:
         "_rmap",
         "_rmap_list",
         "_alloc_order",
+        "_channel_planes",
         "_rr",
         "_ppb",
         "_gc_thr",
@@ -129,6 +130,18 @@ class PageFTL:
                     chip = channel * config.chips_per_channel + chip_in_channel
                     order.append(chip * config.planes_per_chip + plane_in_chip)
         self._alloc_order = order
+        # Each channel's global planes, chip-major and plane-minor: the
+        # rotation of a pinned flush (BPLRU), built once per device.
+        ppc = config.planes_per_chip
+        cpc = config.chips_per_channel
+        self._channel_planes: List[List[int]] = [
+            [
+                chip * ppc + plane
+                for chip in range(channel * cpc, (channel + 1) * cpc)
+                for plane in range(ppc)
+            ]
+            for channel in range(config.n_channels)
+        ]
         self._rr = 0
         # Write-loop constants: ``write_batch`` inlines the flash
         # allocate/program bookkeeping and the GC trigger check, so it
@@ -193,14 +206,10 @@ class PageFTL:
         return key % self.config.n_channels
 
     def planes_of_channel(self, channel: int) -> List[int]:
-        """Global plane indices belonging to ``channel``."""
-        c = self.config
-        first_chip = channel * c.chips_per_channel
-        return [
-            chip * c.planes_per_chip + plane
-            for chip in range(first_chip, first_chip + c.chips_per_channel)
-            for plane in range(c.planes_per_chip)
-        ]
+        """Global plane indices belonging to ``channel``, chip-major and
+        plane-minor.  The list is built once per device and shared:
+        callers must not modify it."""
+        return self._channel_planes[channel]
 
     def write_page(
         self, lpn: int, now: float, plane: Optional[int] = None

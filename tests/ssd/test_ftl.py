@@ -89,6 +89,35 @@ class TestStriping:
         res = ResourceTimelines(cfg, Geometry(cfg))
         assert all(res.channel_of_plane(p) == 0 for p in planes)
 
+        # Every channel of a non-square geometry, in the exact
+        # chip-major, plane-minor order; the list is built once.
+        cfg = SSDConfig(
+            n_channels=3,
+            chips_per_channel=2,
+            planes_per_chip=4,
+            blocks_per_plane=16,
+            pages_per_block=4,
+        )
+        geo = Geometry(cfg)
+        flash = FlashArray(cfg, geo)
+        res = ResourceTimelines(cfg, geo)
+        ftl = PageFTL(cfg, geo, flash, res, GarbageCollector(cfg, geo, flash, res))
+        expected = [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [8, 9, 10, 11, 12, 13, 14, 15],
+            [16, 17, 18, 19, 20, 21, 22, 23],
+        ]
+        for channel, want in enumerate(expected):
+            planes = ftl.planes_of_channel(channel)
+            assert planes == want
+            assert ftl.planes_of_channel(channel) is planes
+            first_chip = 2 * channel
+            assert [geo.chip_of_plane(p) for p in planes] == (
+                [first_chip] * 4 + [first_chip + 1] * 4
+            )
+            assert [p % cfg.planes_per_chip for p in planes] == [0, 1, 2, 3] * 2
+            assert all(res.channel_of_plane(p) == channel for p in planes)
+
 
 class TestReads:
     def test_mapped_read_hits_owning_plane(self):

@@ -18,6 +18,14 @@ policy itself was deliberately changed.
 The golden-metrics suite (tests/sim/test_golden_metrics.py) plays the
 same role for the end-to-end replay numbers; this test localises a
 divergence to the cache layer and runs in seconds.
+
+The event-stream pins go one step further: they hash every line a
+:class:`~repro.obs.tracer.JsonlTracer` writes, so the order, the clock
+stamps and the fields of the traced events are pinned too.  The
+cache-only pins cover every registered policy; the device pins replay
+the paper's four policies through a small device that garbage-collects,
+so ``ListMove``, ``Split``, ``DowngradeMerge``, ``FlashWrite`` and
+``GcMigrate`` events interleave with the cache events.
 """
 
 from __future__ import annotations
@@ -26,7 +34,10 @@ import hashlib
 
 import pytest
 
-from repro.cache import create_policy
+from repro.cache import available_policies, create_policy
+from repro.obs.tracer import JsonlTracer
+from repro.sim.replay import ReplayConfig, replay_trace
+from repro.ssd.config import SSDConfig
 from repro.traces.synthetic import SyntheticConfig, generate_trace
 
 CACHE_PAGES = 256
@@ -135,3 +146,154 @@ def test_traced_path_matches_fast_path(equiv_trace, policy_name):
                 h_traced.update(repr((tuple(batch.lpns), batch.pin_key)).encode())
     assert h_fast.hexdigest() == h_traced.hexdigest() == GOLDEN[policy_name][3]
 
+
+
+#: policy -> (events, sha256 over the JsonlTracer lines) of one
+#: cache-only pass over the trace above, every registered policy at its
+#: defaults.
+EVENT_STREAM_CACHE_ONLY = {
+    "bplru": (
+        27775,
+        "4d62c0dc0cf1f5384fe8b93b00e15d3c51f22448a9efdf56e95a353c85848b28",
+    ),
+    "cflru": (
+        40227,
+        "b04068d2855a14b8c34ef8fd6c5f860d975b15874aca8c47d2fae69f5cfd8108",
+    ),
+    "ecr": (
+        38889,
+        "0f054ae65f12c41c2052e7f072953a319f4c35aa4b56c4d011246639411737f8",
+    ),
+    "fab": (
+        29168,
+        "1833530da49da96ec74a7db6596e89425628e60c666cab8921ed6f01cb679e83",
+    ),
+    "fifo": (
+        39509,
+        "4353b7e965ed538aacd5156306b8903c0ddda4d912ddc56553f14633b14146a7",
+    ),
+    "lfu": (
+        38777,
+        "a137e7e44f552619b6a6d2c5cc9c71031d0aca77ee5f3b1b9c9a840fb5670a97",
+    ),
+    "lru": (
+        38889,
+        "fef48c6042d438ce0b53a2bc5f82fb6b417d34057135b5596f1b5536da3f404e",
+    ),
+    "pudlru": (
+        28502,
+        "8aef33d7302c0f8627682fc0cde0ff013fc89c22d7dcb416993715dee1b216be",
+    ),
+    "reqblock": (
+        32657,
+        "34ca2c97ca627b1b43cd46e5dbc4ad83c3d5e8dfc9f4357fa5fe84d1782e3a60",
+    ),
+    "reqblock-adaptive": (
+        32657,
+        "34ca2c97ca627b1b43cd46e5dbc4ad83c3d5e8dfc9f4357fa5fe84d1782e3a60",
+    ),
+    "vbbms": (
+        30370,
+        "2a98e9d857bb3ec6d9a9ce00ff635e487f7281d624014fa381db6f38eb91159e",
+    ),
+}
+
+#: A device small enough (10,240 pages for an 8,280-page write
+#: footprint) that every replay below runs garbage collection.
+EVENT_STREAM_SSD = SSDConfig(
+    n_channels=2,
+    chips_per_channel=1,
+    planes_per_chip=2,
+    blocks_per_plane=40,
+    pages_per_block=64,
+)
+
+#: case -> (policy, policy kwargs); Req-block at δ = 1 splits often
+#: enough that downgraded merges happen on this trace.
+EVENT_STREAM_DEVICE_CASES = {
+    "lru": ("lru", {}),
+    "bplru": ("bplru", {}),
+    "vbbms": ("vbbms", {}),
+    "reqblock": ("reqblock", {}),
+    "reqblock-delta1": ("reqblock", {"delta": 1}),
+}
+
+#: case -> (events, sha256 over the JsonlTracer lines) of one
+#: ``replay_trace`` on :data:`EVENT_STREAM_SSD`.
+EVENT_STREAM_DEVICE = {
+    "lru": (
+        53687,
+        "07346925f8b9409d856a5a24859376d2c66413ef0655a30418ac128cadf62335",
+    ),
+    "bplru": (
+        41280,
+        "239797a620cf523a2ed9d7e83ef069e8a375e677c4b13a6f395fc985ca10ef0d",
+    ),
+    "vbbms": (
+        44410,
+        "603c384315ef22b54c980cff462e73844d3c19c00af2467d6fdd3fd50ea71247",
+    ),
+    "reqblock": (
+        46472,
+        "57e83faf5d939ce680896cd4ae63d4eaa276e9560114700c1d5ed5e7a19bd5ca",
+    ),
+    "reqblock-delta1": (
+        46605,
+        "93faf2966422400d57e6cb0c8edfe5cee2f3890f5f48886feb3e8989bc077fc1",
+    ),
+}
+
+
+class _HashSink:
+    """Write-only text sink that hashes what it is given."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _hashing_tracer():
+    sink = _HashSink()
+    return sink, JsonlTracer(sink)
+
+
+def test_event_stream_pins_cover_every_policy():
+    assert sorted(EVENT_STREAM_CACHE_ONLY) == sorted(available_policies())
+    assert sorted(EVENT_STREAM_DEVICE) == sorted(EVENT_STREAM_DEVICE_CASES)
+
+
+@pytest.mark.parametrize("policy_name", sorted(EVENT_STREAM_CACHE_ONLY))
+def test_cache_only_event_stream_matches_pin(equiv_trace, policy_name):
+    sink, tracer = _hashing_tracer()
+    policy = create_policy(policy_name, CACHE_PAGES)
+    policy.set_tracer(tracer)
+    for request in equiv_trace.requests:
+        policy.access(request)
+    tracer.close()
+    got = (tracer.n_events, sink.sha.hexdigest())
+    assert got == EVENT_STREAM_CACHE_ONLY[policy_name]
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_STREAM_DEVICE))
+def test_device_event_stream_matches_pin(equiv_trace, case):
+    policy_name, kwargs = EVENT_STREAM_DEVICE_CASES[case]
+    sink, tracer = _hashing_tracer()
+    replay_trace(
+        equiv_trace,
+        ReplayConfig(
+            policy=policy_name,
+            cache_bytes=CACHE_PAGES * 4096,
+            policy_kwargs=dict(kwargs),
+            ssd=EVENT_STREAM_SSD,
+            tracer=tracer,
+        ),
+    )
+    tracer.close()
+    got = (tracer.n_events, sink.sha.hexdigest())
+    assert got == EVENT_STREAM_DEVICE[case]

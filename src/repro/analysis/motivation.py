@@ -9,21 +9,22 @@ cache and showing
 * **Fig. 3** — the fraction of cached pages belonging to *large*
   requests that are ever re-accessed: only 22.0%-37.2% (Observation 2).
 
-This module replays a trace through an instrumented LRU cache that
-remembers, for every cached page, the size of the write request that
-inserted it, and accumulates exactly those statistics.
+This module replays a trace through a page-level LRU write buffer (an
+``OrderedDict``, as in :mod:`repro.cache.lru`) that remembers, for
+every cached page, the size of the write request that inserted it, and
+accumulates exactly those statistics.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from repro.cache.base import AccessOutcome
-from repro.cache.lru import LRUCache
 from repro.traces.model import Trace
 from repro.traces.stats import mean_request_pages
 from repro.utils.stats import CDFBuilder
+from repro.utils.validation import require_positive
 
 __all__ = ["MotivationStats", "analyze_motivation"]
 
@@ -86,31 +87,10 @@ class MotivationStats:
         return [(s, i, h) for s, i, h in zip(sizes, ins, hit)]
 
 
-class _InstrumentedLRU(LRUCache):
-    """LRU that remembers the inserting request's size per cached page."""
-
-    def __init__(self, capacity_pages: int) -> None:
-        super().__init__(capacity_pages)
-        self.insert_size: Dict[int, int] = {}  # lpn -> inserting req pages
-        self.was_hit: Dict[int, bool] = {}  # lpn -> hit since insertion
-
-    def _insert(self, lpn, request, outcome):  # type: ignore[override]
-        super()._insert(lpn, request, outcome)
-        self.insert_size[lpn] = request.npages
-        self.was_hit[lpn] = False
-
-    def _evict_one(self, outcome: AccessOutcome) -> None:
-        super()._evict_one(outcome)
-        # An LRU eviction flushes exactly one page: forget it.
-        victim = outcome.flushes[-1].lpns[0]
-        self.insert_size.pop(victim, None)
-        self.was_hit.pop(victim, None)
-
-
 def analyze_motivation(
     trace: Trace, cache_pages: int = 4096
 ) -> MotivationStats:
-    """Replay ``trace`` through instrumented LRU; returns Fig. 2/3 stats.
+    """Replay ``trace`` through page-level LRU; returns Fig. 2/3 stats.
 
     The default 4096-page cache is the paper's 16 MB configuration; pass
     a scaled value when the trace is scaled.
@@ -119,28 +99,33 @@ def analyze_motivation(
     stats = MotivationStats(
         trace_name=trace.name, cache_pages=cache_pages, boundary_pages=boundary
     )
-    cache = _InstrumentedLRU(cache_pages)
+    require_positive(cache_pages, "cache_pages")
+    # The LRU cache: cached LPN -> pages of the write request that
+    # inserted it, least recently used first.
+    insert_size: "OrderedDict[int, int]" = OrderedDict()
+    # Cached LPNs hit since their insertion.
+    was_hit: Set[int] = set()
 
     for request in trace:
+        npages = request.npages
         for lpn in request.pages():
-            cached_before = cache.contains(lpn)
-            if cached_before:
-                size = cache.insert_size[lpn]
+            size = insert_size.get(lpn)
+            if size is not None:
                 stats.hit_cdf.add(size)
-                if not cache.was_hit[lpn]:
-                    cache.was_hit[lpn] = True
+                if lpn not in was_hit:
+                    was_hit.add(lpn)
                     if size > boundary:
                         stats.large_pages_hit += 1
                     else:
                         stats.small_pages_hit += 1
-                cache._on_hit(lpn, request)
+                insert_size.move_to_end(lpn)
             elif request.is_write:
-                outcome = AccessOutcome()
-                while cache.occupancy() >= cache.capacity_pages:
-                    cache._evict_one(outcome)
-                cache._insert(lpn, request, outcome)
-                stats.insert_cdf.add(request.npages)
-                if request.npages > boundary:
+                while len(insert_size) >= cache_pages:
+                    # Each eviction flushes one page: forget it.
+                    was_hit.discard(insert_size.popitem(last=False)[0])
+                insert_size[lpn] = npages
+                stats.insert_cdf.add(npages)
+                if npages > boundary:
                     stats.large_pages_cached += 1
                 else:
                     stats.small_pages_cached += 1

@@ -148,8 +148,9 @@ class CachePolicy(abc.ABC):
         require_positive(capacity_pages, "capacity_pages")
         self.capacity_pages = capacity_pages
         #: Observability sink (see :mod:`repro.obs`).  Defaults to the
-        #: shared disabled tracer; every emission site is guarded with
-        #: ``if tracer.enabled:`` so the default costs one branch.
+        #: shared disabled tracer.  A policy's page loop binds ``emit =
+        #: tracer.emit if tracer.enabled else None`` once per request and
+        #: guards each emission site with ``if emit is not None:``.
         self.tracer: Tracer = NULL_TRACER
         #: Metrics registry (see :mod:`repro.obs.metrics`).  Defaults to
         #: the shared disabled registry; per-request cache counters are
@@ -279,15 +280,15 @@ class WriteBufferPolicy(CachePolicy):
     def access(self, request: IORequest) -> AccessOutcome:
         """Algorithm-1 page loop: dispatch each page to the hooks.
 
-        Tracing gets its own loop (``_access_traced``) so the common
-        disabled path pays exactly one branch per *request*, not several
-        per page — measured at ~10% of cache-only replay time otherwise.
-        The two loops must stay behaviourally identical; the
-        differential and fast-path-equivalence tests pin that.
+        With a tracer attached, each page emits its ``CacheHit`` or
+        ``CacheMiss``, every batch an ``Evict`` and every insert an
+        ``Insert``; untraced, each event site costs one ``emit is not
+        None`` test.
         """
-        if self.tracer.enabled:
-            return self._access_traced(request)
-        self._req_seq += 1
+        tracer = self.tracer
+        emit = tracer.emit if tracer.enabled else None
+        req_id = self._req_seq
+        self._req_seq = req_id + 1
         outcome = AccessOutcome()
         contains = self.contains
         on_hit = self._on_hit
@@ -295,71 +296,47 @@ class WriteBufferPolicy(CachePolicy):
         evict_one = self._evict_one
         capacity = self.capacity_pages
         is_write = request.is_write
+        flushes = outcome.flushes
         read_misses = outcome.read_miss_lpns
         hits = misses = inserted = 0
+        clock = self._event_clock
         for lpn in request.pages():
             if contains(lpn):
                 hits += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheHit(clock, req_id, lpn, self.name))
                 on_hit(lpn, request)
             elif is_write:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, True))
                 while self._occupancy >= capacity:
                     before = self._occupancy
+                    n_flushes = len(flushes)
                     evict_one(outcome)
                     if self._occupancy >= before:
                         raise RuntimeError(
                             f"{type(self).__name__}._evict_one freed nothing"
                         )
+                    if emit is not None:
+                        for batch in flushes[n_flushes:]:
+                            emit(Evict(clock, req_id, tuple(batch.lpns), self.name))
                 insert(lpn, request, outcome)
                 inserted += 1
+                if emit is not None:
+                    emit(Insert(clock, req_id, lpn, self.name))
             else:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, False))
                 read_misses.append(lpn)
+        self._event_clock = clock
         outcome.page_hits = hits
         outcome.page_misses = misses
         outcome.inserted_pages = inserted
-        return outcome
-
-    def _access_traced(self, request: IORequest) -> AccessOutcome:
-        """The page loop with event emission; mirrors ``access``."""
-        outcome = AccessOutcome()
-        tracer = self.tracer
-        req_id = self._req_seq
-        self._req_seq += 1
-        for lpn in request.pages():
-            self._event_clock += 1
-            if self.contains(lpn):
-                outcome.page_hits += 1
-                tracer.emit(CacheHit(self._event_clock, req_id, lpn, self.name))
-                self._on_hit(lpn, request)
-            else:
-                outcome.page_misses += 1
-                tracer.emit(
-                    CacheMiss(self._event_clock, req_id, lpn, request.is_write)
-                )
-                if request.is_write:
-                    while self._occupancy >= self.capacity_pages:
-                        before = self._occupancy
-                        n_flushes = len(outcome.flushes)
-                        self._evict_one(outcome)
-                        if self._occupancy >= before:
-                            raise RuntimeError(
-                                f"{type(self).__name__}._evict_one freed nothing"
-                            )
-                        for batch in outcome.flushes[n_flushes:]:
-                            tracer.emit(
-                                Evict(
-                                    self._event_clock,
-                                    req_id,
-                                    tuple(batch.lpns),
-                                    self.name,
-                                )
-                            )
-                    self._insert(lpn, request, outcome)
-                    outcome.inserted_pages += 1
-                    tracer.emit(Insert(self._event_clock, req_id, lpn, self.name))
-                else:
-                    outcome.read_miss_lpns.append(lpn)
         return outcome
 
     def occupancy(self) -> int:

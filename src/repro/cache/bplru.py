@@ -25,7 +25,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, Set
 
-from repro.cache.base import AccessOutcome, FlushBatch, WriteBufferPolicy
+from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch
+from repro.obs.events import CacheHit, CacheMiss, Evict, Insert
 from repro.traces.model import IORequest, OpType
 
 __all__ = ["BPLRUCache"]
@@ -41,7 +42,7 @@ class _BPLRUBlock:
         self.in_order = True  # inserts so far were strictly ascending
 
 
-class BPLRUCache(WriteBufferPolicy):
+class BPLRUCache(CachePolicy):
     """Block-padding LRU write buffer."""
 
     name = "bplru"
@@ -61,8 +62,13 @@ class BPLRUCache(WriteBufferPolicy):
         #: last=False)`` demotes, ``popitem(last=False)`` evicts).
         self._blocks: "OrderedDict[int, _BPLRUBlock]" = OrderedDict()
         self._page_index: Dict[int, _BPLRUBlock] = {}
+        self._occupancy = 0
 
     # ------------------------------------------------------------------
+    def occupancy(self) -> int:
+        """Number of pages currently cached."""
+        return self._occupancy
+
     def contains(self, lpn: int) -> bool:
         """Whether ``lpn`` is currently cached."""
         return lpn in self._page_index
@@ -77,15 +83,16 @@ class BPLRUCache(WriteBufferPolicy):
 
     # ------------------------------------------------------------------
     def access(self, request: IORequest) -> AccessOutcome:
-        """Fused fast path: one page-index probe per page instead of the
-        template's ``contains`` + ``_on_hit`` double lookup.  Mirrors the
-        template loop exactly (the traced path still runs it); pinned by
-        the fast-path equivalence test.
+        """Serve one request: one page-index probe per page, the block
+        insert inlined, and one ``emit is not None`` test per event site
+        when no tracer is attached.
         """
-        if self.tracer.enabled:
-            return self._access_traced(request)
-        self._req_seq += 1
+        tracer = self.tracer
+        emit = tracer.emit if tracer.enabled else None
+        req_id = self._req_seq
+        self._req_seq = req_id + 1
         outcome = AccessOutcome()
+        flushes = outcome.flushes
         page_index = self._page_index
         index_get = page_index.get
         blocks = self._blocks
@@ -97,23 +104,30 @@ class BPLRUCache(WriteBufferPolicy):
         is_write = request.op is OpType.WRITE
         read_misses = outcome.read_miss_lpns
         occ = self._occupancy
+        clock = self._event_clock
         hits = misses = inserted = 0
         for lpn in request.pages():
             block = index_get(lpn)
             if block is not None:
                 hits += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheHit(clock, req_id, lpn, self.name))
                 # A rewrite breaks the "written once, sequentially"
                 # pattern, so the block rejoins the MRU end.
                 block.in_order = False
                 move_to_end(block.lbn)
             elif is_write:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, True))
                 while occ >= capacity:
                     self._occupancy = occ
                     evict_one(outcome)
                     occ = self._occupancy
-                # Inlined ``_insert`` (the traced template path still
-                # runs the method; pinned by the equivalence test).
+                    if emit is not None:
+                        emit(Evict(clock, req_id, tuple(flushes[-1].lpns), self.name))
                 lbn, offset = divmod(lpn, ppb)
                 block = blocks_get(lbn)
                 if block is None:
@@ -136,44 +150,22 @@ class BPLRUCache(WriteBufferPolicy):
                     and len(block.pages) == ppb
                 ):
                     move_to_end(lbn, last=False)
+                if emit is not None:
+                    # Observers validate the structure per event.
+                    self._occupancy = occ
+                    emit(Insert(clock, req_id, lpn, self.name))
             else:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, False))
                 read_misses.append(lpn)
         self._occupancy = occ
+        self._event_clock = clock
         outcome.page_hits = hits
         outcome.page_misses = misses
         outcome.inserted_pages = inserted
         return outcome
-
-    def _on_hit(self, lpn: int, request: IORequest) -> None:
-        block = self._page_index[lpn]
-        # A rewrite breaks the "written once, sequentially" pattern, so
-        # the block rejoins the MRU end like any hot block.
-        block.in_order = False
-        self._blocks.move_to_end(block.lbn)
-
-    def _insert(self, lpn: int, request: IORequest, outcome: AccessOutcome) -> None:
-        lbn, offset = divmod(lpn, self.pages_per_block)
-        block = self._blocks.get(lbn)
-        if block is None:
-            block = _BPLRUBlock(lbn)
-            self._blocks[lbn] = block
-        else:
-            if offset != block.last_offset + 1:
-                block.in_order = False
-            self._blocks.move_to_end(lbn)
-        block.pages.add(lpn)
-        block.last_offset = offset
-        self._page_index[lpn] = block
-        self._occupancy += 1
-        # LRU compensation: a fully sequential block that just reached
-        # the block boundary is demoted to the eviction end.
-        if (
-            block.in_order
-            and offset == self.pages_per_block - 1
-            and len(block.pages) == self.pages_per_block
-        ):
-            self._blocks.move_to_end(lbn, last=False)
 
     def _evict_one(self, outcome: AccessOutcome) -> None:
         victim = self._blocks.popitem(last=False)[1]

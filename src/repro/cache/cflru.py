@@ -68,71 +68,53 @@ class CFLRUCache(CachePolicy):
 
     # ------------------------------------------------------------------
     def access(self, request: IORequest) -> AccessOutcome:
-        """Serve one request through the cache (see CachePolicy).
-
-        Tracing runs in ``_access_traced`` (mirror loop) so the common
-        disabled path pays one branch per request.
-        """
-        if self.tracer.enabled:
-            return self._access_traced(request)
-        self._req_seq += 1
-        outcome = AccessOutcome()
-        for lpn in request.pages():
-            node = self._index.get(lpn)
-            if node is not None:
-                outcome.page_hits += 1
-                if request.is_write:
-                    node.dirty = True  # clean page overwritten in place
-                self._list.move_to_head(node)
-                continue
-            outcome.page_misses += 1
-            if request.is_read:
-                outcome.read_miss_lpns.append(lpn)
-            while len(self._index) >= self.capacity_pages:
-                self._evict_one(outcome)
-            self._insert(lpn, dirty=request.is_write)
-            if request.is_write:
-                outcome.inserted_pages += 1
-        return outcome
-
-    def _access_traced(self, request: IORequest) -> AccessOutcome:
-        """The access loop with event emission; mirrors ``access``."""
-        outcome = AccessOutcome()
+        """Serve one request through the cache (see CachePolicy); each
+        event site costs one ``emit is not None`` test when no tracer is
+        attached."""
         tracer = self.tracer
+        emit = tracer.emit if tracer.enabled else None
         req_id = self._req_seq
-        self._req_seq += 1
+        self._req_seq = req_id + 1
+        outcome = AccessOutcome()
+        flushes = outcome.flushes
+        is_write = request.is_write
         for lpn in request.pages():
-            self._event_clock += 1
             node = self._index.get(lpn)
             if node is not None:
                 outcome.page_hits += 1
-                tracer.emit(CacheHit(self._event_clock, req_id, lpn, self.name))
-                if request.is_write:
+                if emit is not None:
+                    self._event_clock += 1
+                    emit(CacheHit(self._event_clock, req_id, lpn, self.name))
+                if is_write:
                     node.dirty = True  # clean page overwritten in place
                 self._list.move_to_head(node)
                 continue
             outcome.page_misses += 1
-            tracer.emit(CacheMiss(self._event_clock, req_id, lpn, request.is_write))
-            if request.is_read:
+            if emit is not None:
+                self._event_clock += 1
+                emit(CacheMiss(self._event_clock, req_id, lpn, is_write))
+            if not is_write:
                 outcome.read_miss_lpns.append(lpn)
             while len(self._index) >= self.capacity_pages:
-                n_flushes = len(outcome.flushes)
+                n_flushes = len(flushes)
                 self._evict_one(outcome)
-                # Clean drops produce no FlushBatch, hence no Evict
-                # event — only flushed batches reach flash.
-                for batch in outcome.flushes[n_flushes:]:
-                    tracer.emit(
-                        Evict(
-                            self._event_clock,
-                            req_id,
-                            tuple(batch.lpns),
-                            self.name,
+                if emit is not None:
+                    # Clean drops produce no FlushBatch, hence no Evict
+                    # event: only flushed batches reach flash.
+                    for batch in flushes[n_flushes:]:
+                        emit(
+                            Evict(
+                                self._event_clock,
+                                req_id,
+                                tuple(batch.lpns),
+                                self.name,
+                            )
                         )
-                    )
-            self._insert(lpn, dirty=request.is_write)
-            if request.is_write:
+            self._insert(lpn, dirty=is_write)
+            if is_write:
                 outcome.inserted_pages += 1
-            tracer.emit(Insert(self._event_clock, req_id, lpn, self.name))
+            if emit is not None:
+                emit(Insert(self._event_clock, req_id, lpn, self.name))
         return outcome
 
     def _insert(self, lpn: int, dirty: bool) -> None:

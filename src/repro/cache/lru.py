@@ -20,18 +20,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable
 
-from repro.cache.base import (
-    AccessOutcome,
-    FlushBatch,
-    PageEvictions,
-    WriteBufferPolicy,
-)
+from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch, PageEvictions
+from repro.obs.events import CacheHit, CacheMiss, Evict, Insert
 from repro.traces.model import IORequest, OpType
 
 __all__ = ["LRUCache"]
 
 
-class LRUCache(WriteBufferPolicy):
+class LRUCache(CachePolicy):
     """Least-recently-used write buffer at page granularity."""
 
     name = "lru"
@@ -41,8 +37,13 @@ class LRUCache(WriteBufferPolicy):
         super().__init__(capacity_pages)
         #: Cached LPNs in recency order, least recently used first.
         self._order: "OrderedDict[int, None]" = OrderedDict()
+        self._occupancy = 0
 
     # ------------------------------------------------------------------
+    def occupancy(self) -> int:
+        """Number of pages currently cached."""
+        return self._occupancy
+
     def contains(self, lpn: int) -> bool:
         """Whether ``lpn`` is currently cached."""
         return lpn in self._order
@@ -57,19 +58,18 @@ class LRUCache(WriteBufferPolicy):
 
     # ------------------------------------------------------------------
     def access(self, request: IORequest) -> AccessOutcome:
-        """Fused fast path: the hooks' ``OrderedDict`` operations bound
-        once per request instead of three method calls per page.  Must
-        stay behaviourally identical to the template loop — the traced
-        path still uses it, and the fast-path equivalence and
-        differential tests pin the eviction sequence.
+        """Serve one request: the ``OrderedDict`` operations are bound
+        once per request, and each event site costs one ``emit is not
+        None`` test when no tracer is attached.
 
         The request's victims are collected into one list and handed
         out as a :class:`PageEvictions` view, not one ``FlushBatch``
         per evicted page.
         """
-        if self.tracer.enabled:
-            return self._access_traced(request)
-        self._req_seq += 1
+        tracer = self.tracer
+        emit = tracer.emit if tracer.enabled else None
+        req_id = self._req_seq
+        self._req_seq = req_id + 1
         outcome = AccessOutcome()
         order = self._order
         move_to_end = order.move_to_end
@@ -82,42 +82,49 @@ class LRUCache(WriteBufferPolicy):
         read_misses = outcome.read_miss_lpns
         hits = misses = inserted = 0
         occ = self._occupancy
+        clock = self._event_clock
         for lpn in request.pages():
             if lpn in order:
                 hits += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheHit(clock, req_id, lpn, self.name))
                 move_to_end(lpn)
             elif is_write:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, True))
                 while occ >= capacity:
                     occ -= 1
                     # popitem(last=False), passed positionally: the
                     # keyword form costs more per eviction.
-                    victims.append(popitem(False)[0])
+                    victim = popitem(False)[0]
+                    victims.append(victim)
+                    if emit is not None:
+                        # Observers validate the structure per event.
+                        self._occupancy = occ
+                        emit(Evict(clock, req_id, (victim,), self.name))
                 order[lpn] = None
                 occ += 1
                 inserted += 1
+                if emit is not None:
+                    self._occupancy = occ
+                    emit(Insert(clock, req_id, lpn, self.name))
             else:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, False))
                 read_misses.append(lpn)
         self._occupancy = occ
+        self._event_clock = clock
         if victims:
             outcome.flushes = PageEvictions(victims)
         outcome.page_hits = hits
         outcome.page_misses = misses
         outcome.inserted_pages = inserted
         return outcome
-
-    def _on_hit(self, lpn: int, request: IORequest) -> None:
-        self._order.move_to_end(lpn)
-
-    def _insert(self, lpn: int, request: IORequest, outcome: AccessOutcome) -> None:
-        self._order[lpn] = None
-        self._occupancy += 1
-
-    def _evict_one(self, outcome: AccessOutcome) -> None:
-        victim = self._order.popitem(last=False)[0]
-        self._occupancy -= 1
-        outcome.flushes.append(FlushBatch([victim]))
 
     # ------------------------------------------------------------------
     def flush_all(self) -> FlushBatch:

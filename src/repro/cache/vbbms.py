@@ -147,25 +147,25 @@ class VBBMSCache(CachePolicy):
             del self._stream_ends[oldest]
 
     def access(self, request: IORequest) -> AccessOutcome:
-        """Serve one request through the cache (see CachePolicy).
-
-        Tracing runs in ``_access_traced`` (mirror loop) so the common
-        disabled path pays one branch per request.
-        """
-        if self.tracer.enabled:
-            return self._access_traced(request)
-        self._req_seq += 1
+        """Serve one request through the cache (see CachePolicy); each
+        event site costs one ``emit is not None`` test when no tracer is
+        attached."""
+        tracer = self.tracer
+        emit = tracer.emit if tracer.enabled else None
+        req_id = self._req_seq
+        self._req_seq = req_id + 1
         outcome = AccessOutcome()
+        flushes = outcome.flushes
         is_write = request.op is OpType.WRITE
         page_region = self._page_region
         region_get = page_region.get
         evict_from = self._evict_from
         read_misses = outcome.read_miss_lpns
         hits = misses = inserted = 0
+        clock = self._event_clock
         if is_write:
             # The insert target is fixed for the whole request, so its
-            # region fields are bound once and ``_insert_into`` is
-            # inlined below (the traced path still runs the method).
+            # region fields are bound once.
             target = self.classify(request)
             t_cap = target.capacity
             t_vb_pages = target.vb_pages
@@ -177,14 +177,22 @@ class VBBMSCache(CachePolicy):
             region = region_get(lpn)
             if region is not None:
                 hits += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheHit(clock, req_id, lpn, region.name))
                 # Only the random region tracks recency (LRU); the FIFO
                 # sequential region leaves hit blocks in place.
                 if region.use_lru:
                     region.vbs.move_to_end(lpn // region.vb_pages)
             elif is_write:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, True))
                 while target.occupancy >= t_cap:
                     evict_from(target, outcome)
+                    if emit is not None:
+                        emit(Evict(clock, req_id, tuple(flushes[-1].lpns), target.name))
                 vbn = lpn // t_vb_pages
                 pages = t_vbs_get(vbn)
                 if pages is None:
@@ -196,66 +204,21 @@ class VBBMSCache(CachePolicy):
                 target.occupancy += 1
                 page_region[lpn] = target
                 inserted += 1
+                if emit is not None:
+                    emit(Insert(clock, req_id, lpn, target.name))
             else:
                 misses += 1
+                if emit is not None:
+                    clock += 1
+                    emit(CacheMiss(clock, req_id, lpn, False))
                 read_misses.append(lpn)
+        self._event_clock = clock
         outcome.page_hits = hits
         outcome.page_misses = misses
         outcome.inserted_pages = inserted
         return outcome
 
-    def _access_traced(self, request: IORequest) -> AccessOutcome:
-        """The access loop with event emission; mirrors ``access``."""
-        outcome = AccessOutcome()
-        tracer = self.tracer
-        req_id = self._req_seq
-        self._req_seq += 1
-        target = self.classify(request) if request.is_write else None
-        for lpn in request.pages():
-            self._event_clock += 1
-            region = self._page_region.get(lpn)
-            if region is not None:
-                outcome.page_hits += 1
-                tracer.emit(CacheHit(self._event_clock, req_id, lpn, region.name))
-                if region.use_lru:
-                    region.vbs.move_to_end(lpn // region.vb_pages)
-                continue
-            outcome.page_misses += 1
-            tracer.emit(CacheMiss(self._event_clock, req_id, lpn, request.is_write))
-            if request.is_read:
-                outcome.read_miss_lpns.append(lpn)
-                continue
-            assert target is not None
-            while target.occupancy >= target.capacity:
-                n_flushes = len(outcome.flushes)
-                self._evict_from(target, outcome)
-                for batch in outcome.flushes[n_flushes:]:
-                    tracer.emit(
-                        Evict(
-                            self._event_clock,
-                            req_id,
-                            tuple(batch.lpns),
-                            target.name,
-                        )
-                    )
-            self._insert_into(target, lpn)
-            outcome.inserted_pages += 1
-            tracer.emit(Insert(self._event_clock, req_id, lpn, target.name))
-        return outcome
-
     # ------------------------------------------------------------------
-    def _insert_into(self, region: _Region, lpn: int) -> None:
-        vbn = lpn // region.vb_pages
-        pages = region.vbs.get(vbn)
-        if pages is None:
-            region.vbs[vbn] = {lpn}
-        else:
-            if region.use_lru:
-                region.vbs.move_to_end(vbn)
-            pages.add(lpn)
-        region.occupancy += 1
-        self._page_region[lpn] = region
-
     def _evict_from(self, region: _Region, outcome: AccessOutcome) -> None:
         lpns = sorted(region.vbs.popitem(last=False)[1])
         page_region = self._page_region

@@ -21,11 +21,9 @@ with no hashing on the hot path.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.request_block import RequestBlock
-from repro.obs.events import ListMove
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.dll import DoublyLinkedList
 
 __all__ = ["ListLevel", "ThreeLevelLists"]
@@ -53,23 +51,12 @@ class _LevelList(DoublyLinkedList):
 class ThreeLevelLists:
     """IRL/SRL/DRL container with per-level page accounting."""
 
-    __slots__ = ("_irl", "_srl", "_drl", "_tracer", "_clock_fn")
+    __slots__ = ("_irl", "_srl", "_drl")
 
     def __init__(self) -> None:
         self._irl = _LevelList(ListLevel.IRL)
         self._srl = _LevelList(ListLevel.SRL)
         self._drl = _LevelList(ListLevel.DRL)
-        self._tracer: Tracer = NULL_TRACER
-        self._clock_fn: Callable[[], int] = lambda: 0
-
-    def set_tracer(
-        self, tracer: Optional[Tracer], clock_fn: Optional[Callable[[], int]] = None
-    ) -> None:
-        """Attach an event tracer; ``clock_fn`` supplies the event time
-        (the owning policy's logical clock)."""
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        if clock_fn is not None:
-            self._clock_fn = clock_fn
 
     def _list_for(self, level: ListLevel) -> _LevelList:
         # Identity dispatch: cheaper than an enum-keyed dict (Enum's
@@ -149,20 +136,6 @@ class ThreeLevelLists:
         """Move ``block`` (possibly across lists) to ``level``'s head."""
         lst = self._list_for(level)
         owner = block.owner
-        if self._tracer.enabled:
-            if owner is None:
-                from_level = ""
-            else:
-                from_level = owner.level.value  # type: ignore[union-attr]
-            self._tracer.emit(
-                ListMove(
-                    self._clock_fn(),
-                    block.req_id,
-                    from_level,
-                    level.value,
-                    len(block.pages),
-                )
-            )
         if owner is lst:
             lst.move_to_head(block)
             return

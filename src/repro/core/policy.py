@@ -28,8 +28,15 @@ from typing import Dict, Iterable, Optional
 from repro.cache.base import AccessOutcome, CachePolicy, FlushBatch
 from repro.core.multilist import ListLevel, ThreeLevelLists
 from repro.core.request_block import RequestBlock
-from repro.obs.events import CacheHit, CacheMiss, DowngradeMerge, Evict, Insert, Split
-from repro.obs.tracer import Tracer
+from repro.obs.events import (
+    CacheHit,
+    CacheMiss,
+    DowngradeMerge,
+    Evict,
+    Insert,
+    ListMove,
+    Split,
+)
 from repro.traces.model import IORequest, OpType
 from repro.utils.validation import require_positive
 
@@ -92,12 +99,6 @@ class ReqBlockCache(CachePolicy):
         self._m_merges = None
         self._m_merged_pages = None
 
-    def set_tracer(self, tracer: "Tracer | None") -> None:
-        """Attach an event tracer; also wires the IRL/SRL/DRL container
-        so cross-list moves emit ``ListMove`` events."""
-        super().set_tracer(tracer)
-        self.lists.set_tracer(self.tracer, clock_fn=lambda: self._clock)
-
     def set_metrics(self, registry) -> None:
         """Attach a metrics registry; adds the Req-block instruments:
         split/merge counters plus per-list occupancy gauges
@@ -152,15 +153,11 @@ class ReqBlockCache(CachePolicy):
     # Main routine (Algorithm 1)
     # ------------------------------------------------------------------
     def access(self, request: IORequest) -> AccessOutcome:
-        """Serve one request through the cache (see CachePolicy).
-
-        Tracing runs in its own loop (``_access_traced``) so the common
-        disabled path pays one branch per request; the two loops must
-        stay behaviourally identical (pinned by the fast-path and
-        differential tests in ``tests/obs``/``tests/sim``).
-        """
-        if self.tracer.enabled:
-            return self._access_traced(request)
+        """Serve one request through the cache (see CachePolicy); each
+        event site costs one ``emit is not None`` test when no tracer is
+        attached."""
+        tracer = self.tracer
+        emit = tracer.emit if tracer.enabled else None
         outcome = AccessOutcome()
         req_id = self._req_seq
         self._req_seq += 1
@@ -171,11 +168,9 @@ class ReqBlockCache(CachePolicy):
         capacity = self.capacity_pages
         is_write = request.op is OpType.WRITE
         read_misses = outcome.read_miss_lpns
-        # The small-block hit promotion and the IRL insertion are
-        # inlined below (``_handle_hit``/``_insert`` still serve the
-        # traced mirror loop); both lists' ops are bound once.  The
-        # lists' tracer is the policy's tracer, which this path already
-        # checked is disabled, so the ListMove emission is skipped.
+        # The small-block hit promotion (ThreeLevelLists.move_to_head)
+        # and the IRL insertion are inlined below, with both lists' ops
+        # bound once.
         lists = self.lists
         irl = lists._irl
         irl_push = irl.push_head
@@ -193,13 +188,22 @@ class ReqBlockCache(CachePolicy):
             block = index_get(lpn)
             if block is not None:
                 hits += 1
+                owner = block.owner
+                if emit is not None:
+                    list_name = owner.level.value if owner is not None else ""
+                    emit(CacheHit(clock, req_id, lpn, list_name))
                 block.access_cnt += 1
                 if len(block.pages) <= delta or not split_large:
                     # Small block (or no-split ablation): promote whole
-                    # to SRL (inlined ThreeLevelLists.move_to_head).
+                    # to SRL.
                     if refresh_age:
                         block.t_insert = clock
-                    owner = block.owner
+                    if emit is not None:
+                        emit(
+                            ListMove(
+                                clock, block.req_id, list_name, "SRL", len(block.pages)
+                            )
+                        )
                     if owner is srl:
                         srl_move(block)
                     else:
@@ -213,10 +217,12 @@ class ReqBlockCache(CachePolicy):
                     split_hit(lpn, block, req_id)
             elif is_write:
                 misses += 1
+                if emit is not None:
+                    emit(CacheMiss(clock, req_id, lpn, True))
                 while len(index) >= capacity:
                     evict(outcome)
-                # Inlined ``_insert``: join the current request's IRL
-                # head block, or open a new one.
+                # Join the current request's IRL head block, or open a
+                # new one.
                 head = irl._head
                 if head is None or head.req_id != req_id:
                     head = RequestBlock(req_id, clock)
@@ -225,61 +231,21 @@ class ReqBlockCache(CachePolicy):
                 irl.pages += 1
                 index[lpn] = head
                 inserted += 1
+                if emit is not None:
+                    emit(Insert(clock, req_id, lpn, "IRL"))
             else:
                 misses += 1
+                if emit is not None:
+                    emit(CacheMiss(clock, req_id, lpn, False))
                 read_misses.append(lpn)
         outcome.page_hits = hits
         outcome.page_misses = misses
         outcome.inserted_pages = inserted
         return outcome
 
-    def _access_traced(self, request: IORequest) -> AccessOutcome:
-        """The Algorithm-1 loop with event emission; mirrors ``access``."""
-        outcome = AccessOutcome()
-        tracer = self.tracer
-        req_id = self._req_seq
-        self._req_seq += 1
-        for lpn in request.pages():
-            self._clock += 1
-            block = self._index.get(lpn)
-            if block is not None:
-                outcome.page_hits += 1
-                level = self.lists.level_of(block)
-                tracer.emit(
-                    CacheHit(
-                        self._clock,
-                        req_id,
-                        lpn,
-                        level.value if level is not None else "",
-                    )
-                )
-                self._handle_hit(lpn, block, req_id)
-            else:
-                outcome.page_misses += 1
-                tracer.emit(CacheMiss(self._clock, req_id, lpn, request.is_write))
-                if request.is_write:
-                    while len(self._index) >= self.capacity_pages:
-                        self._evict(outcome)
-                    self._insert(lpn, req_id)
-                    outcome.inserted_pages += 1
-                    tracer.emit(Insert(self._clock, req_id, lpn, ListLevel.IRL.value))
-                else:
-                    outcome.read_miss_lpns.append(lpn)
-        return outcome
-
     # ------------------------------------------------------------------
     # Hit handling (§3.2)
     # ------------------------------------------------------------------
-    def _handle_hit(self, lpn: int, block: RequestBlock, req_id: int) -> None:
-        block.access_cnt += 1
-        if len(block.pages) <= self.delta or not self.split_large_hits:
-            # Small block (or no-split ablation): promote whole to SRL.
-            if self.refresh_age_on_promote:
-                block.t_insert = self._clock
-            self.lists.move_to_head(ListLevel.SRL, block)
-            return
-        self._split_hit(lpn, block, req_id)
-
     def _split_hit(self, lpn: int, block: RequestBlock, req_id: int) -> None:
         lists = self.lists
         # Large block: extract the hit page into the DRL head block of
@@ -302,18 +268,6 @@ class ReqBlockCache(CachePolicy):
         target.pages.add(lpn)
         lists.note_page_added(target)
         self._index[lpn] = target
-
-    # ------------------------------------------------------------------
-    # Miss handling: insertion into IRL
-    # ------------------------------------------------------------------
-    def _insert(self, lpn: int, req_id: int) -> None:
-        head = self.lists.head(ListLevel.IRL)
-        if head is None or head.req_id != req_id:
-            head = RequestBlock(req_id, self._clock)
-            self.lists.push_head(ListLevel.IRL, head)
-        head.pages.add(lpn)
-        self.lists.note_page_added(head)
-        self._index[lpn] = head
 
     # ------------------------------------------------------------------
     # Eviction (§3.3)
@@ -398,7 +352,6 @@ class ReqBlockCache(CachePolicy):
         """Drain the cache; returns one batch of the dirty pages."""
         lpns = sorted(self._index.keys())
         self.lists = ThreeLevelLists()
-        self.lists.set_tracer(self.tracer, clock_fn=lambda: self._clock)
         self._index.clear()
         return FlushBatch(lpns, reason="drain")
 

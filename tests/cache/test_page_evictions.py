@@ -227,8 +227,8 @@ def test_consumers_match_the_materialised_list(trace, outcomes, faults, profiled
 
 
 def test_untraced_replay_matches_the_traced_one(trace):
-    """Untraced LRU hands views to the replay loop, traced LRU lists:
-    the summary, the flash counters and the digest agree."""
+    """Attaching a tracer to LRU changes no replayed number: the
+    summary, the flash counters and the digest agree."""
 
     def run(tracer):
         return replay_trace(

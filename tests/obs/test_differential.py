@@ -6,9 +6,10 @@ with nothing but a Python list and a dict — slow, obvious, and easy to
 audit.  Random workloads are replayed through both; the tracer event
 stream of the production policy must yield exactly the reference's
 per-page hit/miss decisions, and the cache contents must agree after
-every request.  LRU's untraced fused ``access`` is checked on its own
-too (outcome totals, read misses and one-page flushes in eviction
-order), and so is its drain order.
+every request.  LRU's outcomes with no tracer attached are checked on
+their own too (outcome totals, read misses and one-page flushes in
+eviction order), since each policy has one page loop whose event sites
+are skipped when untraced; so is its drain order.
 
 The LFU tie-break relies on a property of the bucket implementation: a
 page enters its bucket when its frequency last changed, so last-touch
@@ -260,8 +261,8 @@ class TestDifferential:
     @given(ops=request_lists, capacity=st.integers(2, 24))
     @settings(max_examples=100, deadline=None)
     def test_lru_untraced_matches_reference(self, ops, capacity):
-        """The fused ``access`` (no tracer attached) against the
-        reference, request by request."""
+        """``access`` with no tracer attached (its event sites
+        skipped) against the reference, request by request."""
         policy = create_policy("lru", capacity)
         reference = _VictimLog(capacity, "lru")
         for i, request in enumerate(_requests(ops)):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.cache.registry import PAPER_COMPARISON
 from repro.obs.events import CacheHit, DegradedModeEntered
 from repro.obs.flight import (
     DEFAULT_CAPACITY,
@@ -143,15 +144,18 @@ class TestReplayIntegration:
         assert len(rec.events) == 64
         assert rec.last_dump is None  # clean run: nothing dump-worthy
 
-    def test_recorder_does_not_change_summary(self):
+    @pytest.mark.parametrize("policy", PAPER_COMPARISON)
+    def test_recorder_does_not_change_summary(self, policy):
+        # The recorder is a tracer, so a recorded run takes each event
+        # site of the policy's page loop.
         trace = get_workload("ts_0", SCALE)
         base = replay_trace(
-            trace, ReplayConfig(policy="lru", cache_bytes=CACHE)
+            trace, ReplayConfig(policy=policy, cache_bytes=CACHE)
         )
         with_rec = replay_trace(
             trace,
             ReplayConfig(
-                policy="lru", cache_bytes=CACHE, flight=FlightRecorder()
+                policy=policy, cache_bytes=CACHE, flight=FlightRecorder()
             ),
         )
         assert with_rec.summary() == base.summary()

@@ -116,11 +116,11 @@ def test_eviction_sequence_matches_seed(equiv_trace, policy_name):
 
 @pytest.mark.parametrize("policy_name", sorted(GOLDEN))
 def test_traced_path_matches_fast_path(equiv_trace, policy_name):
-    """The traced mirror loop must stay in lockstep with the fused one.
+    """Emitting events must not change what a policy does.
 
-    The fast ``access`` loops were fused for speed while the traced
-    variants kept the original method-per-step structure; replaying the
-    same trace through both must give identical eviction sequences.
+    Each policy has one page loop, which emits its events only when a
+    tracer is attached; replaying the same trace with and without one
+    must give identical outcomes and eviction sequences.
     """
     from repro.obs.tracer import CountingTracer
 

@@ -152,8 +152,8 @@ class TestFastPathEquivalence:
 
     @pytest.mark.parametrize("policy", ["lru", "reqblock"])
     def test_traced_loop_matches_untraced_loop(self, tiny_trace, policy):
-        """Policies run separate traced/untraced access loops; both must
-        make identical decisions (guards the dual-path optimisation)."""
+        """A policy's one access loop emits events only when traced;
+        emitting them must not change its decisions."""
         from repro.obs.tracer import CountingTracer
 
         cfg = ReplayConfig(policy=policy, cache_bytes=64 * 4096)

@@ -541,7 +541,9 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
                 if metrics.metrics_series
                 else 0.0
             )
-            Path(args.metrics_out).write_text(registry.prometheus_text(sim_ms))
+            out = Path(args.metrics_out)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(registry.prometheus_text(sim_ms))
             print(f"wrote Prometheus metrics dump to {args.metrics_out}")
         else:
             from repro.sim.export import write_metrics_jsonl

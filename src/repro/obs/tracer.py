@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 from typing import IO, Dict, List, Optional, Protocol, Union, runtime_checkable
 
 from repro.obs.events import Event, event_to_dict
@@ -139,7 +140,8 @@ class CountingTracer:
 class JsonlTracer:
     """Writes one JSON object per event to ``path`` (or an open file).
 
-    Usable as a context manager; ``close()`` is idempotent and leaves
+    A path's missing parent directories are created.  Usable as a
+    context manager; ``close()`` is idempotent and leaves
     caller-supplied file objects open.
     """
 
@@ -147,6 +149,7 @@ class JsonlTracer:
 
     def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
         if isinstance(path_or_file, str):
+            Path(path_or_file).parent.mkdir(parents=True, exist_ok=True)
             self._file: Optional[IO[str]] = open(path_or_file, "w", encoding="utf-8")
             self._owns_file = True
         else:

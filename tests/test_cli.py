@@ -59,6 +59,16 @@ class TestCommands:
         kinds = {e["kind"] for e in events}
         assert {"cache_miss", "insert", "flash_write"} <= kinds
 
+    def test_replay_trace_out_creates_missing_directory(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "events.jsonl"
+        rc = main(
+            ["replay", "ts_0", "--scale", SCALE, "--policy", "lru",
+             "--trace-out", str(out_path)]
+        )
+        assert rc == 0
+        assert f"events to {out_path}" in capsys.readouterr().out
+        assert out_path.read_text().count("\n") > 0
+
     def test_replay_check_invariants(self, capsys):
         rc = main(
             ["replay", "ts_0", "--scale", SCALE, "--policy", "reqblock",
@@ -137,6 +147,17 @@ class TestMetricsCli:
         text = out_path.read_text()
         assert "# TYPE repro_cache_page_hits_total counter" in text
         assert "repro_ssd_flash_programs_total" in text
+
+    def test_replay_metrics_prom_creates_missing_directory(
+        self, tmp_path, capsys
+    ):
+        out_path = tmp_path / "missing" / "metrics.prom"
+        rc = main(
+            ["replay", "ts_0", "--scale", SCALE, "--metrics-out", str(out_path),
+             "--metrics-format", "prom"]
+        )
+        assert rc == 0
+        assert "repro_cache_page_hits_total" in out_path.read_text()
 
     def test_metrics_subcommand_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "metrics.jsonl"

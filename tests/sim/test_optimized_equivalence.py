@@ -149,8 +149,8 @@ def test_traced_path_matches_fast_path(equiv_trace, policy_name):
 
 
 #: policy -> (events, sha256 over the JsonlTracer lines) of one
-#: cache-only pass over the trace above, every registered policy at its
-#: defaults.
+#: cache-only pass over the trace above, for every registered policy
+#: at its defaults (a policy without a pin fails with ``KeyError``).
 EVENT_STREAM_CACHE_ONLY = {
     "bplru": (
         27775,
@@ -208,36 +208,38 @@ EVENT_STREAM_SSD = SSDConfig(
     pages_per_block=64,
 )
 
-#: case -> (policy, policy kwargs); Req-block at δ = 1 splits often
-#: enough that downgraded merges happen on this trace.
-EVENT_STREAM_DEVICE_CASES = {
-    "lru": ("lru", {}),
-    "bplru": ("bplru", {}),
-    "vbbms": ("vbbms", {}),
-    "reqblock": ("reqblock", {}),
-    "reqblock-delta1": ("reqblock", {"delta": 1}),
-}
-
-#: case -> (events, sha256 over the JsonlTracer lines) of one
-#: ``replay_trace`` on :data:`EVENT_STREAM_SSD`.
+#: case -> (policy, policy kwargs, events, sha256 over the JsonlTracer
+#: lines) of one ``replay_trace`` on :data:`EVENT_STREAM_SSD`.  Req-block
+#: at δ = 1 splits often enough that downgraded merges happen on this
+#: trace.
 EVENT_STREAM_DEVICE = {
     "lru": (
+        "lru",
+        {},
         53687,
         "07346925f8b9409d856a5a24859376d2c66413ef0655a30418ac128cadf62335",
     ),
     "bplru": (
+        "bplru",
+        {},
         41280,
         "239797a620cf523a2ed9d7e83ef069e8a375e677c4b13a6f395fc985ca10ef0d",
     ),
     "vbbms": (
+        "vbbms",
+        {},
         44410,
         "603c384315ef22b54c980cff462e73844d3c19c00af2467d6fdd3fd50ea71247",
     ),
     "reqblock": (
+        "reqblock",
+        {},
         46472,
         "57e83faf5d939ce680896cd4ae63d4eaa276e9560114700c1d5ed5e7a19bd5ca",
     ),
     "reqblock-delta1": (
+        "reqblock",
+        {"delta": 1},
         46605,
         "93faf2966422400d57e6cb0c8edfe5cee2f3890f5f48886feb3e8989bc077fc1",
     ),
@@ -263,12 +265,7 @@ def _hashing_tracer():
     return sink, JsonlTracer(sink)
 
 
-def test_event_stream_pins_cover_every_policy():
-    assert sorted(EVENT_STREAM_CACHE_ONLY) == sorted(available_policies())
-    assert sorted(EVENT_STREAM_DEVICE) == sorted(EVENT_STREAM_DEVICE_CASES)
-
-
-@pytest.mark.parametrize("policy_name", sorted(EVENT_STREAM_CACHE_ONLY))
+@pytest.mark.parametrize("policy_name", available_policies())
 def test_cache_only_event_stream_matches_pin(equiv_trace, policy_name):
     sink, tracer = _hashing_tracer()
     policy = create_policy(policy_name, CACHE_PAGES)
@@ -276,13 +273,14 @@ def test_cache_only_event_stream_matches_pin(equiv_trace, policy_name):
     for request in equiv_trace.requests:
         policy.access(request)
     tracer.close()
-    got = (tracer.n_events, sink.sha.hexdigest())
-    assert got == EVENT_STREAM_CACHE_ONLY[policy_name]
+    assert (tracer.n_events, sink.sha.hexdigest()) == (
+        EVENT_STREAM_CACHE_ONLY[policy_name]
+    )
 
 
 @pytest.mark.parametrize("case", sorted(EVENT_STREAM_DEVICE))
 def test_device_event_stream_matches_pin(equiv_trace, case):
-    policy_name, kwargs = EVENT_STREAM_DEVICE_CASES[case]
+    policy_name, kwargs, n_events, digest = EVENT_STREAM_DEVICE[case]
     sink, tracer = _hashing_tracer()
     replay_trace(
         equiv_trace,
@@ -295,5 +293,4 @@ def test_device_event_stream_matches_pin(equiv_trace, case):
         ),
     )
     tracer.close()
-    got = (tracer.n_events, sink.sha.hexdigest())
-    assert got == EVENT_STREAM_DEVICE[case]
+    assert (tracer.n_events, sink.sha.hexdigest()) == (n_events, digest)

@@ -89,7 +89,7 @@ _LEDGER_EXEMPT = frozenset(
 
 
 def _wants_supervision(args: argparse.Namespace) -> bool:
-    """Whether any resilience flag asks for the supervised engine."""
+    """Whether any resilience flag asks for shard supervision."""
     return (
         args.max_retries is not None
         or args.shard_timeout is not None
@@ -561,11 +561,16 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.jobs is not None and args.jobs != 1 and args.profile:
-        print("--jobs is incompatible with --profile", file=sys.stderr)
+    if args.profile and (
+        args.jobs not in (None, 1) or _wants_supervision(args)
+    ):
+        print(
+            "--jobs and --max-retries/--shard-timeout/--checkpoint/--resume/"
+            "--salvage are incompatible with --profile",
+            file=sys.stderr,
+        )
         return 2
-    supervised = _wants_supervision(args)
-    if supervised and args.jobs is None:
+    if _wants_supervision(args) and args.jobs is None:
         print(
             "--max-retries/--shard-timeout/--checkpoint/--resume/--salvage "
             "require --jobs (the supervised parallel path)",
@@ -597,7 +602,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cache_bytes = scaled_cache_bytes(args.cache_mb, args.scale)
     rows = []
     report = SupervisorReport()
-    if args.jobs is not None and (args.jobs != 1 or supervised):
+    if args.jobs is not None and not args.profile:
         # One sweep cell per policy; each worker's replay is
         # bit-identical to the serial loop below (workers reload the
         # workload by name / MSR path — and rebuild tenant populations
@@ -624,7 +629,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             checkpoint_path=args.resume or args.checkpoint,
             resume=args.resume is not None,
             progress=make_progress_printer() if args.progress else None,
-            report=report if supervised else None,
+            report=report,
         )
     else:
         all_metrics = [

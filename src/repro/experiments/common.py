@@ -55,26 +55,26 @@ class ExperimentSettings:
         default_factory=lambda: list(PAPER_CACHE_SIZES_MB)
     )
     #: Worker processes for sweeps (None = auto, 1 = inline).  Every
-    #: experiment's grid fans out through the sharded engine
-    #: (:mod:`repro.sim.parallel`) at this width — the ``--jobs`` CLI
-    #: flag lands here, so no per-experiment parallel plumbing exists.
+    #: experiment's grid fans out through the shard executor
+    #: (:func:`repro.sim.supervisor.run_shards`) at this width — the
+    #: ``--jobs`` CLI flag lands here, so no per-experiment parallel
+    #: plumbing exists.
     processes: Optional[int] = None
-    #: Pool start method (None = auto: fork where available, else
+    #: Worker start method (None = auto: fork where available, else
     #: spawn; see :func:`repro.sim.parallel.resolve_start_method`).
     start_method: Optional[str] = None
     #: Sink for human-readable output.
     out: Callable[[str], None] = print
 
-    # Resilience knobs (see docs/resilience.md).  ``supervision`` being
-    # set — or a checkpoint/resume request — routes every grid through
-    # the shard supervisor instead of the plain pool.
+    # Resilience knobs (see docs/resilience.md), passed to every grid's
+    # fan-out.
     supervision: Optional[Supervision] = None
     checkpoint_path: Optional[str] = None
     resume: bool = False
     #: Per-shard progress lines to stderr (``--progress``).
     progress: bool = False
-    #: Accumulates supervised outcomes across this experiment's grids so
-    #: ``main()`` can settle one exit code (salvaged -> EXIT_SALVAGED).
+    #: Accumulates the outcomes of this experiment's grids so ``main()``
+    #: can settle one exit code (salvaged -> EXIT_SALVAGED).
     report: SupervisorReport = field(default_factory=SupervisorReport)
 
     def cache_bytes(self, paper_mb: int) -> int:
@@ -99,11 +99,6 @@ class ExperimentSettings:
         zeros) while ``settings.report`` carries the damage for the
         exit code.
         """
-        supervised = (
-            self.supervision is not None
-            or self.checkpoint_path is not None
-            or self.resume
-        )
         results = run_jobs(
             list(jobs),
             processes=self.processes,
@@ -112,7 +107,7 @@ class ExperimentSettings:
             checkpoint_path=self.checkpoint_path,
             resume=self.resume,
             progress=make_progress_printer() if self.progress else None,
-            report=self.report if supervised else None,
+            report=self.report,
         )
         out: List[ReplayMetrics] = []
         for job, metrics in zip(jobs, results):
@@ -218,7 +213,7 @@ def add_worker_args(parser: argparse.ArgumentParser) -> None:
         "--start-method",
         default=None,
         choices=("fork", "spawn", "forkserver"),
-        help="pool start method (default: fork where available, else spawn)",
+        help="worker start method (default: fork where available, else spawn)",
     )
     add_resilience_args(parser)
 
@@ -226,8 +221,9 @@ def add_worker_args(parser: argparse.ArgumentParser) -> None:
 def add_resilience_args(parser: argparse.ArgumentParser) -> None:
     """Attach the supervisor knobs (shared with the replay/compare CLI).
 
-    Semantics in ``docs/resilience.md``; any of them routes the fan-out
-    through :func:`repro.sim.supervisor.run_shards_supervised`.
+    Semantics in ``docs/resilience.md``; they become the ``supervision``,
+    ``checkpoint_path`` and ``resume`` of
+    :func:`repro.sim.supervisor.run_shards`.
     """
     group = parser.add_argument_group("resilience")
     group.add_argument(

@@ -189,11 +189,11 @@ def load_flight_dump(path: str) -> Any:
 # Process-global recorder (supervised shard workers)
 # ----------------------------------------------------------------------
 #
-# A supervised worker cannot thread a recorder through the pickled
-# payload (the payload crosses the process boundary by value), so the
-# worker entry activates one here and the replay drivers tee in
-# whatever is active.  One recorder per worker process; the parent
-# process never activates one.
+# A shard worker cannot thread a recorder through the pickled payload
+# (the payload crosses the process boundary by value), so the worker
+# activates one here for each shard attempt and the replay drivers tee
+# in whatever is active.  One recorder per attempt; the parent process
+# never activates one.
 
 _ACTIVE: Optional[FlightRecorder] = None
 

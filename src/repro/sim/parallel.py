@@ -1,19 +1,10 @@
-"""Sharded parallel experiment engine.
+"""Trace-segment sharding and the engine's shared helpers.
 
 Every paper figure multiplies (policy x trace x config) cells, and each
 cell is an independent deterministic replay — embarrassingly parallel
-work that previously only the sweep module fanned out, with a
-hard-coded ``fork`` start method and no error reporting.  This module
-is the general engine underneath all of it:
+work that :func:`repro.sim.supervisor.run_shards`, the one shard
+executor, fans out.  This module holds what sits around it:
 
-* :func:`run_shards` — run a worker over a payload list on a process
-  pool (forked workers inherit both; spawned ones receive them
-  pickled), returning results **in payload order** regardless of
-  worker completion order.  ``jobs=1`` bypasses the pool entirely and
-  runs the exact legacy serial path.  Worker failures surface as a
-  :class:`ShardError` carrying the shard index and the worker's
-  traceback (never a hang); a ``KeyboardInterrupt`` — in the parent or
-  in a worker — tears the pool down and re-raises.
 * :func:`plan_segments` / :func:`shard_trace` /
   :func:`replay_sharded` — *trace-segment* sharding for one huge
   trace: contiguous, balanced request slices, each replayed on its own
@@ -24,6 +15,9 @@ is the general engine underneath all of it:
   explicit-seed convention (``repro.utils.rng.resolve_rng``): no
   module-level RNG, identical seeds give identical shard streams, and
   distinct shards never alias each other's streams.
+* :class:`ShardError`, which carries a failed shard's worker traceback
+  to the parent, and the worker-count and start-method resolution
+  every parallel entry point shares.
 
 Determinism contract (pinned by ``tests/sim/test_parallel_*``): for a
 fixed payload list, the result list — and therefore any merged metrics
@@ -38,18 +32,14 @@ to an unsharded replay, since each segment starts cold — see
 from __future__ import annotations
 
 import os
-import signal
-import threading
-import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from multiprocessing import get_all_start_methods
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.metrics import ReplayMetrics, merge_metrics
-from repro.sim.progress import EtaTracker, ProgressCallback
+from repro.sim.progress import ProgressCallback
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.traces.model import Trace
 
@@ -61,7 +51,6 @@ __all__ = [
     "resolve_jobs",
     "env_count",
     "derive_shard_seed",
-    "run_shards",
     "plan_segments",
     "shard_trace",
     "replay_sharded",
@@ -70,7 +59,7 @@ __all__ = [
 #: Environment override for the default worker count (``--jobs`` /
 #: ``processes=`` arguments win over it).
 JOBS_ENV = "REPRO_JOBS"
-#: Environment override for the pool start method.
+#: Environment override for the workers' start method.
 START_METHOD_ENV = "REPRO_START_METHOD"
 
 
@@ -78,7 +67,7 @@ class ShardError(RuntimeError):
     """A worker failed while executing one shard.
 
     Raised in the parent with the shard's index, a repr of its payload
-    and the worker-side traceback, after the pool has been torn down —
+    and the worker-side traceback, after every worker has been reaped —
     a failing shard never hangs the run or loses its diagnosis to a
     pickling-unfriendly exception type.
     """
@@ -171,156 +160,6 @@ def derive_shard_seed(seed: int, index: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-@contextmanager
-def _sigterm_as_interrupt() -> Iterator[None]:
-    """Convert SIGTERM to KeyboardInterrupt for the duration of a block.
-
-    A pool parent killed by plain SIGTERM (batch scheduler, ``kill``)
-    would otherwise die without running its ``except`` / ``finally``
-    teardown, orphaning live workers.  Routing the signal through
-    ``KeyboardInterrupt`` reuses the existing interrupt path:
-    terminate, join, re-raise.  Signal handlers can only be installed
-    from the main thread; elsewhere this is a no-op.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _raise(_signum: int, _frame: Any) -> None:
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _raise)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-# ----------------------------------------------------------------------
-# Generic pool engine
-# ----------------------------------------------------------------------
-
-# Worker -> parent shard status markers.  Compared by value: they cross
-# the process boundary by pickling, which does not preserve identity.
-_OK = "ok"
-_FAILED = "failed"
-_INTERRUPTED = "interrupted"
-
-
-def _run_shard(task: Tuple[Callable[[Any], Any], int, Any]) -> Tuple[int, str, Any]:
-    """Pool-side wrapper: never lets an exception escape unpickled.
-
-    Worker exceptions are flattened to their traceback text so the
-    parent can always reconstruct a report, even for exception types
-    that do not survive pickling; ``KeyboardInterrupt`` is forwarded as
-    a status so the parent can tear the pool down and re-raise it.
-    """
-    worker, index, payload = task
-    try:
-        return index, _OK, worker(payload)
-    except KeyboardInterrupt:
-        return index, _INTERRUPTED, None
-    except BaseException:
-        return index, _FAILED, traceback.format_exc()
-
-
-#: ``(worker, payloads)`` of the fork-started pool this process serves,
-#: set by :func:`_install_shards`; never set in the parent.
-_installed: Optional[Tuple[Callable[[Any], Any], List[Any]]] = None
-
-
-def _install_shards(worker: Callable[[Any], Any], payloads: List[Any]) -> None:
-    """Pool initializer under ``fork``.
-
-    Initializer arguments reach a forked worker in the memory it
-    inherits from the parent, so neither the worker nor any payload is
-    pickled; the task queue then carries shard indices only.
-    """
-    global _installed
-    _installed = (worker, payloads)
-
-
-def _run_installed(index: int) -> Tuple[int, str, Any]:
-    """Pool task under ``fork``: run shard ``index`` of the installed list."""
-    worker, payloads = _installed
-    return _run_shard((worker, index, payloads[index]))
-
-
-def run_shards(
-    worker: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    jobs: Optional[int] = None,
-    start_method: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[Any]:
-    """Run ``worker`` over ``payloads``; results in payload order.
-
-    Under ``fork`` the pool's workers inherit ``worker`` and the payload
-    list, and only shard indices cross the task queue.  Under ``spawn``
-    and ``forkserver`` each task carries its payload, so ``worker`` and
-    every payload must be picklable (a module-level function and
-    by-value job specs, as in ``repro.sim.sweep``).  With
-    ``jobs=1`` the pool is skipped entirely: payloads run inline, in
-    order, with exceptions propagating raw — exactly the legacy serial
-    path.  With ``jobs>1`` results are collected as workers finish
-    (``imap_unordered``) but slotted back by index, so callers observe
-    completion-order-independent output; a failing shard raises
-    :class:`ShardError` and a ``KeyboardInterrupt`` anywhere (including
-    a SIGTERM to the parent) terminates *and joins* the pool before
-    re-raising — no orphaned workers on any exit path.
-
-    ``progress`` receives one ``"done"``
-    :class:`~repro.sim.progress.ProgressEvent` per completed shard (in
-    completion order), on the inline path too.
-    """
-    payloads = list(payloads)
-    n = len(payloads)
-    if n == 0:
-        return []
-    jobs = resolve_jobs(jobs, n)
-    tracker = EtaTracker(n) if progress is not None else None
-
-    def _mark(index: int) -> None:
-        if tracker is not None:
-            tracker.mark_done()
-            progress(tracker.event("done", index, 1))
-
-    if jobs == 1:
-        results = []
-        for i, payload in enumerate(payloads):
-            results.append(worker(payload))
-            _mark(i)
-        return results
-    method = resolve_start_method(start_method)
-    ctx = get_context(method)
-    if method == "fork":
-        pool = ctx.Pool(jobs, _install_shards, (worker, payloads))
-        run, tasks = _run_installed, range(n)
-    else:
-        # A fresh interpreter inherits nothing: each task carries its
-        # payload, so every payload is pickled once, for one worker.
-        pool = ctx.Pool(jobs)
-        run, tasks = _run_shard, [(worker, i, p) for i, p in enumerate(payloads)]
-    results = [None] * n
-    try:
-        with _sigterm_as_interrupt():
-            for index, status, value in pool.imap_unordered(run, tasks):
-                if status == _FAILED:
-                    raise ShardError(index, payloads[index], value)
-                if status == _INTERRUPTED:
-                    raise KeyboardInterrupt
-                results[index] = value
-                _mark(index)
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-    else:
-        pool.close()
-        pool.join()
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -465,23 +304,20 @@ def replay_sharded(
     required; use this when one huge trace dominates wall-clock time.
 
     ``n_shards`` defaults to the effective job count, so the default
-    decomposition exactly fills the pool.
+    decomposition gives each worker one segment.
 
-    ``supervision`` / ``checkpoint_path`` / ``resume`` route the
-    fan-out through :func:`repro.sim.supervisor.run_shards_supervised`
-    (retry, watchdog timeouts, crash-safe checkpointing, salvage).  A
-    salvaged run merges the surviving segments only and reports the
-    damage on the merged metrics' :class:`~repro.faults.report
-    .DurabilityReport` (``shards_failed``, ``shard_coverage``); a clean
-    supervised run — including one resumed from a journal — merges
-    byte-identically to an unsupervised one.
-
-    ``flight`` activates a per-worker flight recorder and ``telemetry``
-    a live progress-frame callback; both require the per-process
-    supervisor pipes, so setting either routes the fan-out through the
-    supervised engine even without an explicit ``supervision`` policy.
-    Dumps shipped back by dying/aborted shards are appended (in shard
-    order) to the caller-supplied ``flightdumps`` list.
+    The fan-out runs on :func:`repro.sim.supervisor.run_shards`, and
+    ``supervision`` / ``checkpoint_path`` / ``resume`` / ``progress`` /
+    ``metrics`` / ``tracer`` / ``flight`` / ``telemetry`` pass through
+    to it (retry, watchdog timeouts, crash-safe checkpointing, salvage,
+    per-attempt flight recorders, live progress frames).  A salvaged
+    run merges the surviving segments only and reports the damage on
+    the merged metrics' :class:`~repro.faults.report.DurabilityReport`
+    (``shards_failed``, ``shard_coverage``); a clean supervised run —
+    including one resumed from a journal — merges byte-identically to
+    a plain one.  Dumps shipped back by dying/aborted shards are
+    appended (in shard order) to the caller-supplied ``flightdumps``
+    list.
     """
     _check_shardable(config)
     if n_shards is None:
@@ -494,52 +330,31 @@ def replay_sharded(
     for s in plan.shards:
         segment = trace.segment(s.start, s.stop)
         payloads.append((segment.name, segment, config, s, cache_only))
-    supervised = (
-        supervision is not None
-        or checkpoint_path is not None
-        or resume
-        or flight
-        or telemetry is not None
-    )
-    outcome = None
-    if supervised:
-        from repro.sim.supervisor import run_shards_supervised
+    from repro.sim.supervisor import run_shards  # it imports this module
 
-        outcome = run_shards_supervised(
-            _replay_segment,
-            payloads,
-            jobs=jobs,
-            start_method=start_method,
-            supervision=supervision,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            progress=progress,
-            metrics=metrics,
-            tracer=tracer,
-            flight=flight,
-            telemetry=telemetry,
-        )
-        parts = [part for part in outcome.results if part is not None]
-        if flightdumps is not None:
-            flightdumps.extend(
-                dump for _, dump in sorted(outcome.flightdumps.items())
-            )
-    else:
-        parts = run_shards(
-            _replay_segment,
-            payloads,
-            jobs=jobs,
-            start_method=start_method,
-            progress=progress,
-        )
+    outcome = run_shards(
+        _replay_segment,
+        payloads,
+        jobs=jobs,
+        start_method=start_method,
+        supervision=supervision,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        progress=progress,
+        metrics=metrics,
+        tracer=tracer,
+        flight=flight,
+        telemetry=telemetry,
+    )
+    parts = [part for part in outcome.results if part is not None]
+    if flightdumps is not None:
+        flightdumps.extend(dump for _, dump in sorted(outcome.flightdumps.items()))
     merged = merge_metrics(parts)
     merged.trace_name = trace.name
     merged.policy_name = config.policy
     if len(trace):
         merged.cache_pages = config.cache_pages
-    if outcome is not None and (
-        outcome.failures or outcome.retries or outcome.timeouts
-    ):
+    if outcome.failures or outcome.retries or outcome.timeouts:
         # Only a damaged or bumpy run earns durability shard fields —
         # a clean resumed run must merge byte-identically to a plain
         # one, summary() included.

@@ -1,16 +1,15 @@
-"""Per-shard progress reporting for the parallel engine.
+"""Per-shard progress reporting for the shard executor.
 
-Both :func:`repro.sim.parallel.run_shards` and the supervisor
-(:mod:`repro.sim.supervisor`) accept an optional ``progress`` callback
-receiving one :class:`ProgressEvent` per shard state change —
-completion, retry, timeout, permanent failure, or checkpoint resume.
-:func:`make_progress_printer` turns the stream into the one-line-per
--shard report behind the ``--progress`` CLI flag.
+:func:`repro.sim.supervisor.run_shards` accepts an optional
+``progress`` callback receiving one :class:`ProgressEvent` per shard
+state change — completion, retry, timeout, permanent failure, or
+checkpoint resume.  :func:`make_progress_printer` turns the stream into
+the one-line-per-shard report behind the ``--progress`` CLI flag.
 
 The ETA estimator is deliberately simple: ``elapsed / done *
 remaining``.  Because ``elapsed`` is wall-clock over the whole fan-out,
-the pool width is already priced in — no per-shard bookkeeping, and the
-estimate tightens as shards drain.
+the worker count is already priced in — no per-shard bookkeeping, and
+the estimate tightens as shards drain.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ class ProgressEvent:
     elapsed_s: float
     #: Estimated seconds to completion (None until one shard finishes).
     eta_s: Optional[float] = None
-    #: First line of the failure reason, for retry/timeout/failed events.
+    #: Last line of the failure reason (a traceback's exception line),
+    #: for retry/timeout/failed events.
     detail: str = ""
 
 

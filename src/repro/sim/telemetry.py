@@ -9,14 +9,14 @@ phase) back over the supervisor pipe, and the parent renders the frames
 as a live per-shard heartbeat log (:class:`LiveTelemetry`).
 
 Worker-side plumbing mirrors the flight recorder's ambient pattern
-(:mod:`repro.obs.flight`): the supervised entry point installs a
-process-global frame sink (:func:`set_frame_sink`) and the replay
+(:mod:`repro.obs.flight`): a worker installs a process-global frame
+sink (:func:`set_frame_sink`) for each shard attempt and the replay
 drivers ask :func:`make_emitter` for an emitter at loop start.  With no
-sink installed — every unsupervised run — ``make_emitter`` returns None
-and the loops skip telemetry entirely; with one installed, the check
-piggybacks on the existing metadata-sampling branch (every 256
-requests) and the wall-clock rate limit keeps actual sends to about one
-per ``interval_s``, so frames never become hot-path traffic.
+sink installed — every run without ``telemetry`` — ``make_emitter``
+returns None and the loops skip telemetry entirely; with one installed,
+the check piggybacks on the existing metadata-sampling branch (every
+256 requests) and the wall-clock rate limit keeps actual sends to about
+one per ``interval_s``, so frames never become hot-path traffic.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class FrameEmitter:
 
 
 # ----------------------------------------------------------------------
-# Ambient sink (installed per worker process by the supervisor)
+# Ambient sink (installed for each shard attempt by the executor)
 # ----------------------------------------------------------------------
 
 _SINK: Optional[FrameSink] = None
@@ -147,7 +147,7 @@ def set_frame_sink(
     shard: int = 0,
     interval_s: float = DEFAULT_FRAME_INTERVAL_S,
 ) -> None:
-    """Install this process's frame sink (one per worker process)."""
+    """Install this process's frame sink (one per shard attempt)."""
     global _SINK, _SINK_SHARD, _SINK_INTERVAL_S
     _SINK = sink
     _SINK_SHARD = shard

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.traces.model import IORequest, OpType, Trace
@@ -26,6 +28,16 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="Rewrite golden metric fixtures with the current results "
         "instead of comparing against them.",
     )
+
+
+@pytest.fixture
+def no_process_start(monkeypatch):
+    """Fail the test if anything starts a ``multiprocessing`` process."""
+
+    def _refuse(process) -> None:
+        pytest.fail(f"started a worker process: {process!r}")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse)
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ killed mid-replay must still ship its last events back over the
 supervisor pipe, and a salvaged CLI run must land both a
 ``flightdump.json`` and a ``run.json`` marked salvaged with anomaly
 findings.  Workers are module-level (picklable under spawn) and use the
-ambient recorder/sink installed by ``_child_entry``, exactly as the
-replay loops do.
+ambient recorder/sink the executor installs for each shard attempt,
+exactly as the replay loops do.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.sim.parallel import _replay_segment as _REAL_SEGMENT
 from repro.sim.supervisor import (
     EXIT_SALVAGED,
     Supervision,
-    run_shards_supervised,
+    run_shards,
 )
 from repro.sim.telemetry import LiveTelemetry, make_emitter
 
@@ -101,7 +101,7 @@ def _payloads(tmp_path, n=3):
 class TestSupervisedFlight:
     @BOTH_START_METHODS
     def test_dying_shard_ships_its_dump(self, tmp_path, start_method):
-        out = run_shards_supervised(
+        out = run_shards(
             _emit_then_maybe_fail,
             _payloads(tmp_path),
             jobs=2,
@@ -119,7 +119,7 @@ class TestSupervisedFlight:
 
     @BOTH_START_METHODS
     def test_clean_run_ships_no_dumps(self, tmp_path, start_method):
-        out = run_shards_supervised(
+        out = run_shards(
             _emit_then_maybe_fail,
             _payloads(tmp_path, n=1),
             jobs=1,
@@ -133,7 +133,7 @@ class TestSupervisedFlight:
         # The watchdog SIGTERMs the hung shard; the flight-enabled
         # worker turns that into _ShardTerminated, unwinds, and the
         # dump must arrive through the post-reap pipe drain.
-        out = run_shards_supervised(
+        out = run_shards(
             _emit_then_hang,
             _payloads(tmp_path),
             jobs=2,
@@ -154,7 +154,7 @@ class TestSupervisedFlight:
         from repro.sim.supervisor import SupervisorReport
 
         report = SupervisorReport()
-        out = run_shards_supervised(
+        out = run_shards(
             _emit_then_maybe_fail,
             _payloads(tmp_path),
             jobs=2,
@@ -183,7 +183,7 @@ class TestSupervisedTelemetry:
 
         monkeypatch.setattr(sup_mod, "DEFAULT_FRAME_INTERVAL_S", 0.0)
         frames = []
-        out = run_shards_supervised(
+        out = run_shards(
             _emit_frames,
             _payloads(tmp_path),
             jobs=2,
@@ -208,7 +208,7 @@ class TestSupervisedTelemetry:
         monkeypatch.setattr(sup_mod, "DEFAULT_FRAME_INTERVAL_S", 0.0)
         stream = io.StringIO()
         live = LiveTelemetry(stream=stream, heartbeat_s=0.0)
-        run_shards_supervised(
+        run_shards(
             _emit_frames,
             _payloads(tmp_path),
             jobs=2,
@@ -222,7 +222,7 @@ class TestSupervisedTelemetry:
     def test_no_telemetry_no_sink_in_workers(self, tmp_path, start_method):
         # Without telemetry= the workers get no ambient sink, so
         # make_emitter returns None and nothing crosses the pipe.
-        out = run_shards_supervised(
+        out = run_shards(
             _emit_frames,
             _payloads(tmp_path),
             jobs=2,

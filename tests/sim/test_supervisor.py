@@ -30,7 +30,7 @@ from repro.sim.supervisor import (
     SupervisedOutcome,
     Supervision,
     SupervisorReport,
-    run_shards_supervised,
+    run_shards,
 )
 from repro.traces.workloads import get_workload
 
@@ -108,7 +108,7 @@ def _payloads(tmp_path, n=4):
 class TestCleanRuns:
     @BOTH_START_METHODS
     def test_matches_unsupervised_results(self, tmp_path, start_method):
-        out = run_shards_supervised(
+        out = run_shards(
             _square, _payloads(tmp_path), jobs=2, start_method=start_method
         )
         assert out.results == [0, 1, 4, 9]
@@ -116,14 +116,14 @@ class TestCleanRuns:
         assert out.coverage == 1.0
 
     def test_empty_payloads(self):
-        out = run_shards_supervised(_square, [])
+        out = run_shards(_square, [])
         assert out.results == [] and out.complete
 
     def test_jobs_one_still_supervises(self, tmp_path):
         # Even width-1 runs use a child process: the watchdog needs a
         # process boundary to kill through.
         sup = Supervision(max_retries=1, **FAST)
-        out = run_shards_supervised(
+        out = run_shards(
             _kill_once,
             _payloads(tmp_path),
             jobs=1,
@@ -143,7 +143,7 @@ class TestWorkerKill:
     @BOTH_START_METHODS
     def test_retry_after_worker_kill(self, tmp_path, start_method):
         sup = Supervision(max_retries=2, **FAST)
-        out = run_shards_supervised(
+        out = run_shards(
             _kill_once,
             _payloads(tmp_path),
             jobs=2,
@@ -156,7 +156,7 @@ class TestWorkerKill:
 
     def test_kill_without_retries_raises_shard_error(self, tmp_path):
         with pytest.raises(ShardError) as excinfo:
-            run_shards_supervised(
+            run_shards(
                 _kill_once,
                 _payloads(tmp_path),
                 jobs=2,
@@ -170,7 +170,7 @@ class TestWorkerKill:
         # Kill on *every* attempt (no sentinel consult -> poison-kill).
         sup = Supervision(max_retries=1, salvage=True, **FAST)
 
-        out = run_shards_supervised(
+        out = run_shards(
             _kill_always,
             _payloads(tmp_path),
             jobs=2,
@@ -194,7 +194,7 @@ class TestWatchdog:
     def test_timeout_of_hung_worker_then_retry(self, tmp_path):
         sup = Supervision(max_retries=1, shard_timeout=1.0, **FAST)
         t0 = time.monotonic()
-        out = run_shards_supervised(
+        out = run_shards(
             _hang_once,
             _payloads(tmp_path, n=3),
             jobs=2,
@@ -210,7 +210,7 @@ class TestWatchdog:
     def test_timeout_exhaustion_without_salvage_raises(self, tmp_path):
         sup = Supervision(max_retries=0, shard_timeout=0.3, **FAST)
         with pytest.raises(ShardError) as excinfo:
-            run_shards_supervised(
+            run_shards(
                 _hang_always,
                 [(1, str(tmp_path))],
                 jobs=1,
@@ -224,7 +224,7 @@ class TestWatchdog:
         sup = Supervision(
             max_retries=1, shard_timeout=0.3, salvage=True, **FAST
         )
-        out = run_shards_supervised(
+        out = run_shards(
             _hang_always,
             [(0, str(tmp_path)), (1, str(tmp_path))],
             jobs=2,
@@ -252,7 +252,7 @@ class TestPoison:
         self, tmp_path, start_method
     ):
         sup = Supervision(max_retries=1, salvage=True, **FAST)
-        out = run_shards_supervised(
+        out = run_shards(
             _poison,
             _payloads(tmp_path, n=5),
             jobs=2,
@@ -267,7 +267,7 @@ class TestPoison:
 
     def test_no_salvage_reraises_with_traceback(self, tmp_path):
         with pytest.raises(ShardError) as excinfo:
-            run_shards_supervised(
+            run_shards(
                 _poison,
                 _payloads(tmp_path, n=5),
                 jobs=2,
@@ -279,7 +279,7 @@ class TestPoison:
 
     def test_unpicklable_result_is_a_failure_not_a_hang(self, tmp_path):
         with pytest.raises(ShardError):
-            run_shards_supervised(
+            run_shards(
                 _unpicklable_result,
                 _payloads(tmp_path, n=2),
                 jobs=2,
@@ -322,10 +322,10 @@ class TestDeterminism:
     def test_results_identical_with_and_without_chaos(
         self, tmp_path, start_method
     ):
-        clean = run_shards_supervised(
+        clean = run_shards(
             _square, _payloads(tmp_path), jobs=2, start_method=start_method
         )
-        chaotic = run_shards_supervised(
+        chaotic = run_shards(
             _kill_once,
             _payloads(tmp_path),
             jobs=2,
@@ -343,10 +343,10 @@ class TestDeterminism:
 class TestCheckpointResume:
     def test_resume_skips_completed_shards(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        first = run_shards_supervised(
+        first = run_shards(
             _square, _payloads(tmp_path), jobs=2, checkpoint_path=path
         )
-        resumed = run_shards_supervised(
+        resumed = run_shards(
             _square,
             _payloads(tmp_path),
             jobs=2,
@@ -360,11 +360,11 @@ class TestCheckpointResume:
         """Kill the run after k shards; resume completes the rest and
         the final results equal an uninterrupted run's exactly."""
         path = str(tmp_path / "run.ckpt")
-        baseline = run_shards_supervised(
+        baseline = run_shards(
             _square, _payloads(tmp_path, n=6), jobs=2
         )
         with pytest.raises(ShardError):
-            run_shards_supervised(
+            run_shards(
                 _fail_at_four,
                 _payloads(tmp_path, n=6),
                 jobs=1,  # serial order: shards 0..3 durable before the blast
@@ -375,7 +375,7 @@ class TestCheckpointResume:
         # The journal key covers worker+payloads, so resuming with the
         # healthy worker requires the same identity: reuse _fail_at_four,
         # whose sentinel now exists (one-shot failure).
-        resumed = run_shards_supervised(
+        resumed = run_shards(
             _fail_at_four,
             _payloads(tmp_path, n=6),
             jobs=2,
@@ -388,7 +388,7 @@ class TestCheckpointResume:
 
     def test_resume_missing_journal_starts_fresh(self, tmp_path):
         path = str(tmp_path / "never-created.ckpt")
-        out = run_shards_supervised(
+        out = run_shards(
             _square,
             _payloads(tmp_path, n=2),
             jobs=1,
@@ -403,11 +403,11 @@ class TestCheckpointResume:
         from repro.sim.checkpoint import CheckpointError
 
         path = str(tmp_path / "run.ckpt")
-        run_shards_supervised(
+        run_shards(
             _square, _payloads(tmp_path, n=3), jobs=1, checkpoint_path=path
         )
         with pytest.raises(CheckpointError):
-            run_shards_supervised(
+            run_shards(
                 _square,
                 _payloads(tmp_path, n=3)[::-1],
                 jobs=1,
@@ -539,7 +539,7 @@ class TestTelemetry:
     def test_metrics_counters(self, tmp_path):
         registry = MetricsRegistry()
         sup = Supervision(max_retries=2, salvage=True, **FAST)
-        run_shards_supervised(
+        run_shards(
             _poison,
             _payloads(tmp_path, n=5),
             jobs=2,
@@ -555,11 +555,11 @@ class TestTelemetry:
 
     def test_resumed_counter(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        run_shards_supervised(
+        run_shards(
             _square, _payloads(tmp_path, n=3), jobs=1, checkpoint_path=path
         )
         registry = MetricsRegistry()
-        run_shards_supervised(
+        run_shards(
             _square,
             _payloads(tmp_path, n=3),
             jobs=1,
@@ -574,7 +574,7 @@ class TestTelemetry:
         sup = Supervision(
             max_retries=1, shard_timeout=0.3, salvage=True, **FAST
         )
-        run_shards_supervised(
+        run_shards(
             _hang_always,
             [(0, str(tmp_path)), (1, str(tmp_path))],
             jobs=2,
@@ -593,7 +593,7 @@ class TestTelemetry:
         out = tmp_path / "events.jsonl"
         tracer = JsonlTracer(str(out))
         sup = Supervision(max_retries=1, salvage=True, **FAST)
-        run_shards_supervised(
+        run_shards(
             _poison,
             _payloads(tmp_path, n=4),
             jobs=2,
@@ -609,7 +609,7 @@ class TestTelemetry:
     def test_progress_event_stream(self, tmp_path):
         events = []
         sup = Supervision(max_retries=1, salvage=True, **FAST)
-        run_shards_supervised(
+        run_shards(
             _poison,
             _payloads(tmp_path, n=4),
             jobs=2,
@@ -627,11 +627,11 @@ class TestTelemetry:
 
     def test_progress_reports_resumed(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        run_shards_supervised(
+        run_shards(
             _square, _payloads(tmp_path, n=2), jobs=1, checkpoint_path=path
         )
         events = []
-        run_shards_supervised(
+        run_shards(
             _square,
             _payloads(tmp_path, n=2),
             jobs=1,

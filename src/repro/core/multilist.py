@@ -82,10 +82,6 @@ class ThreeLevelLists:
         """MRU block of ``level`` (None if empty)."""
         return self._list_for(level).head
 
-    def tail(self, level: ListLevel) -> Optional[RequestBlock]:
-        """Eviction-candidate block of ``level`` (None if empty)."""
-        return self._list_for(level).tail
-
     def tails(self) -> List[Tuple[ListLevel, RequestBlock]]:
         """Non-empty lists' tail blocks — the eviction candidates."""
         out = []
@@ -131,20 +127,6 @@ class ThreeLevelLists:
         lst.remove(block)
         lst.pages -= len(block.pages)  # type: ignore[attr-defined]
         return lst.level  # type: ignore[union-attr]
-
-    def move_to_head(self, level: ListLevel, block: RequestBlock) -> None:
-        """Move ``block`` (possibly across lists) to ``level``'s head."""
-        lst = self._list_for(level)
-        owner = block.owner
-        if owner is lst:
-            lst.move_to_head(block)
-            return
-        if owner is not None:
-            n = len(block.pages)
-            owner.remove(block)
-            owner.pages -= n  # type: ignore[attr-defined]
-        lst.push_head(block)
-        lst.pages += len(block.pages)
 
     def note_page_added(self, block: RequestBlock) -> None:
         """Adjust the page count after a page joined ``block`` in place."""

@@ -168,9 +168,9 @@ class ReqBlockCache(CachePolicy):
         capacity = self.capacity_pages
         is_write = request.op is OpType.WRITE
         read_misses = outcome.read_miss_lpns
-        # The small-block hit promotion (ThreeLevelLists.move_to_head)
-        # and the IRL insertion are inlined below, with both lists' ops
-        # bound once.
+        # The small-block hit promotion (a cross-level move to the SRL
+        # head) and the IRL insertion are inlined below, with both
+        # lists' ops bound once.
         lists = self.lists
         irl = lists._irl
         irl_push = irl.push_head

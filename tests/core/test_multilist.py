@@ -21,7 +21,7 @@ class TestMembership:
         lists.push_head(ListLevel.IRL, b)
         assert lists.level_of(b) is ListLevel.IRL
         assert lists.head(ListLevel.IRL) is b
-        assert lists.tail(ListLevel.IRL) is b
+        assert list(lists.blocks(ListLevel.IRL)) == [b]
         lists.validate()
 
     def test_remove_returns_level(self):
@@ -30,26 +30,6 @@ class TestMembership:
         lists.push_head(ListLevel.SRL, b)
         assert lists.remove(b) is ListLevel.SRL
         assert lists.level_of(b) is None
-        lists.validate()
-
-    def test_cross_level_move(self):
-        lists = ThreeLevelLists()
-        b = block()
-        lists.push_head(ListLevel.IRL, b)
-        lists.move_to_head(ListLevel.SRL, b)
-        assert lists.level_of(b) is ListLevel.SRL
-        assert lists.block_count(ListLevel.IRL) == 0
-        assert lists.block_count(ListLevel.SRL) == 1
-        lists.validate()
-
-    def test_same_level_move_to_head(self):
-        lists = ThreeLevelLists()
-        a, b = block(pages=(1,)), block(pages=(2,))
-        lists.push_head(ListLevel.IRL, a)
-        lists.push_head(ListLevel.IRL, b)
-        lists.move_to_head(ListLevel.IRL, a)
-        assert lists.head(ListLevel.IRL) is a
-        assert lists.tail(ListLevel.IRL) is b
         lists.validate()
 
 
@@ -75,15 +55,6 @@ class TestPageCounting:
         assert lists.page_count(ListLevel.DRL) == 1
         lists.validate()
 
-    def test_counts_move_with_blocks(self):
-        lists = ThreeLevelLists()
-        b = block(pages=(1, 2))
-        lists.push_head(ListLevel.IRL, b)
-        lists.move_to_head(ListLevel.SRL, b)
-        assert lists.page_count(ListLevel.IRL) == 0
-        assert lists.page_count(ListLevel.SRL) == 2
-        lists.validate()
-
 
 class TestTails:
     def test_tails_skip_empty_lists(self):
@@ -98,7 +69,7 @@ class TestTails:
         first, second = block(pages=(1,)), block(pages=(2,))
         lists.push_head(ListLevel.IRL, first)
         lists.push_head(ListLevel.IRL, second)
-        assert lists.tail(ListLevel.IRL) is first
+        assert list(lists.blocks(ListLevel.IRL))[-1] is first
 
     def test_total_blocks(self):
         lists = ThreeLevelLists()

@@ -2,8 +2,8 @@
 
 The pin for the whole sharded engine: for every registered policy, a
 trace replayed inline must be byte-identical — ``summary()`` dict and
-eviction-sequence digest — to the same replay dispatched through the
-process pool, at more than one worker count.  Cell-level sharding does
+eviction-sequence digest — to the same replay dispatched to worker
+processes, at more than one worker count.  Cell-level sharding does
 a full replay per (policy, trace, config) cell inside one worker, so
 bit-equality with serial is the contract, not an approximation.
 
@@ -105,7 +105,7 @@ class TestFullModelEquivalence:
             replay_kwargs=(("digest_evictions", True),),
         )
         (pooled,) = run_jobs([job], processes=1)
-        # And through an actual pool alongside a second job so the pool
+        # And in worker processes alongside a second job so the worker
         # path is exercised (single payloads clamp to inline).
         pooled_pair = run_jobs([job, job], processes=2)
         assert pooled.summary() == serial.summary()

@@ -64,9 +64,9 @@ class PageEvictions(Sequence[FlushBatch]):
     (slices give that list's slice) and ``==`` against a list match the
     list's.  LRU's fused ``access`` stores one per evicting request, so
     it allocates no batch per victim; the hot consumers (the
-    controller's flush path, ``ReplayMetrics.record`` and
-    ``fold_eviction_digest``) test ``type(flushes) is PageEvictions`` and
-    read ``lpns`` whole.
+    controller's flush path, ``ReplayMetrics.fold``,
+    ``fold_eviction_digest`` and ``MetricsRecorder.record``) test
+    ``type(flushes) is PageEvictions`` and read ``lpns`` whole.
     """
 
     __slots__ = ("lpns",)

@@ -163,19 +163,20 @@ class Histogram:
         self._zero = 0  # samples <= 0
         self._buckets: Dict[int, int] = {}
 
-    def observe(self, x: float) -> None:
-        """Fold one sample in."""
-        self.count += 1
-        self.sum += x
+    def observe(self, x: float, n: int = 1) -> None:
+        """Fold ``n`` samples of value ``x`` in (the sum grows by
+        ``x * n``: exactly ``n`` additions of ``x`` for integer samples)."""
+        self.count += n
+        self.sum += x * n
         if x < self.min:
             self.min = x
         if x > self.max:
             self.max = x
         if x <= 0.0:
-            self._zero += 1
+            self._zero += n
             return
         idx = math.floor(math.log(x) / self._log_growth)
-        self._buckets[idx] = self._buckets.get(idx, 0) + 1
+        self._buckets[idx] = self._buckets.get(idx, 0) + n
 
     @property
     def mean(self) -> float:
@@ -499,7 +500,7 @@ class _NullInstrument:
     def set(self, v: float) -> None:
         pass
 
-    def observe(self, x: float) -> None:
+    def observe(self, x: float, n: int = 1) -> None:
         pass
 
     def mark(self, now: float, n: int = 1) -> None:

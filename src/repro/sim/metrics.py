@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cache.base import AccessOutcome, FlushBatch, PageEvictions
+from repro.cache.base import AccessOutcome, PageEvictions
 from repro.faults.report import DurabilityReport
 from repro.obs.metrics import DEFAULT_SAMPLE_INTERVAL, MetricsRegistry
 from repro.sim.tenant import TenantStats
@@ -38,38 +38,59 @@ __all__ = [
 #: and the telemetry snapshots land on the same request indices.
 LIST_LOG_INTERVAL = DEFAULT_SAMPLE_INTERVAL
 
-#: ``ReplayMetrics.record`` tests every request's op against this: one
+#: ``ReplayMetrics.fold`` tests every request's op against this: one
 #: global load instead of a global plus an enum attribute load.
 _READ = OpType.READ
 
+#: What separates two LPNs of a :class:`PageEvictions` run in the
+#: digest text: ``"((1,), None)((2,), None)"`` is ``"((" + "1" +
+#: _RUN_SEP + "2" + ",), None)"``.
+_RUN_SEP = ",), None)(("
 
-def fold_eviction_digest(hasher: "hashlib._Hash", flushes: Iterable[FlushBatch]) -> None:
-    """Fold one access's flush batches into an eviction-sequence hash.
+
+def fold_eviction_digest(
+    hasher: "hashlib._Hash", pairs: Iterable[Tuple[IORequest, RequestRecord]]
+) -> None:
+    """Fold a chunk of serviced requests' flush batches into an
+    eviction-sequence hash, in request order.
 
     The encoding — ``repr((tuple(lpns), pin_key))`` per non-empty batch,
     in emission order — is the same one the optimisation-equivalence
     suite (``tests/sim/test_optimized_equivalence.py``) pins against the
     seed implementations, so replay digests are directly comparable to
     those goldens.  Order-sensitive by construction: any reordered,
-    dropped, or recomposed batch changes the digest.
+    dropped, or recomposed batch changes the digest.  Hashing the texts
+    of a chunk joined is hashing them one by one, so the digest is the
+    same however the stream is cut into chunks.
 
     A one-page batch is formatted directly; the f-string is the same
-    text as the ``repr``.  LRU's :class:`PageEvictions` run is folded in
-    one ``update`` of those texts joined (LPNs are ints, whose ``str`` is
-    their ``repr``).
+    text as the ``repr``.  Consecutive LRU :class:`PageEvictions` runs,
+    across requests, are formatted as one join of their LPNs (ints,
+    whose ``str`` is their ``repr``), and the chunk makes one
+    ``update``.
     """
-    if type(flushes) is PageEvictions:
-        lpns = flushes.lpns
-        if lpns:
-            text = "((" + ",), None)((".join(map(str, lpns)) + ",), None)"
-            hasher.update(text.encode())
-        return
-    for batch in flushes:
-        lpns = batch.lpns
-        if len(lpns) == 1:
-            hasher.update(f"(({lpns[0]!r},), {batch.pin_key!r})".encode())
-        elif lpns:
-            hasher.update(repr((tuple(lpns), batch.pin_key)).encode())
+    parts: List[str] = []
+    run: List[int] = []
+    for _request, record in pairs:
+        flushes = record.outcome.flushes
+        if type(flushes) is PageEvictions:
+            run += flushes.lpns
+            continue
+        if not flushes:
+            continue
+        if run:
+            parts.append("((" + _RUN_SEP.join(map(str, run)) + ",), None)")
+            run = []
+        for batch in flushes:
+            lpns = batch.lpns
+            if len(lpns) == 1:
+                parts.append(f"(({lpns[0]!r},), {batch.pin_key!r})")
+            elif lpns:
+                parts.append(repr((tuple(lpns), batch.pin_key)))
+    if run:
+        parts.append("((" + _RUN_SEP.join(map(str, run)) + ",), None)")
+    if parts:
+        hasher.update("".join(parts).encode())
 
 
 class MetricsRecorder:
@@ -158,8 +179,16 @@ class MetricsRecorder:
         self.inserted_pages += outcome.inserted_pages
         if outcome.read_miss_lpns:
             self.read_miss_pages += len(outcome.read_miss_lpns)
-        if outcome.flushes:
-            for batch in outcome.flushes:
+        flushes = outcome.flushes
+        if type(flushes) is PageEvictions:
+            # LRU's run: one single-page batch per LPN, counted at once.
+            n = len(flushes.lpns)
+            if n:
+                self.evictions += n
+                self.evicted_pages += n
+                self._eviction_batch.observe(1, n)
+        elif flushes:
+            for batch in flushes:
                 if batch.lpns:
                     self.evictions += 1
                     self.evicted_pages += len(batch.lpns)
@@ -172,9 +201,10 @@ class MetricsRecorder:
 class ReplayMetrics:
     """Aggregated results of replaying one trace through one policy.
 
-    ``slots=True``: :meth:`record` runs once per request and reads ~10
-    attributes; slot loads skip the instance-dict probe (and the class
-    pickles the same way, which the parallel engine relies on)."""
+    ``slots=True``: :meth:`fold` reads and stores back ~30
+    accumulator fields per chunk; slot loads skip the instance-dict
+    probe (and the class pickles the same way, which the parallel engine
+    relies on)."""
 
     trace_name: str = ""
     policy_name: str = ""
@@ -270,80 +300,125 @@ class ReplayMetrics:
 
     # ------------------------------------------------------------------
     def record(self, request: IORequest, record: RequestRecord) -> None:
-        """Fold one serviced request into the aggregates.
+        """Fold one serviced request into the aggregates (a
+        :meth:`fold` of one)."""
+        self.fold(((request, record),))
 
-        The :class:`RunningStats` / :class:`ReservoirQuantiles` updates
-        are inlined (same statements, same order as their ``add``
-        methods — each accumulator's float-op sequence is unchanged, so
-        the results stay bit-identical); this method runs once per
-        request and the call overhead was visible in replay profiles.
+    def fold(self, pairs: Iterable[Tuple[IORequest, RequestRecord]]) -> None:
+        """Fold a chunk of serviced ``(request, record)`` pairs into the
+        aggregates, in order.
+
+        The :class:`RatioCounter`, :class:`RunningStats`,
+        :class:`ReservoirQuantiles` and :class:`Histogram` updates are
+        inlined: the same statements in the same order as their ``add``
+        methods, so each accumulator's float-op sequence, and hence every
+        result bit for bit, is the same however the stream is cut into
+        chunks.  The accumulators' fields live in locals for the whole
+        chunk and are stored back once at its end; the replay driver
+        folds 64 requests at a time.
         """
-        x, outcome = record
-        hits = outcome.page_hits
-        total = hits + outcome.page_misses
-        self.n_requests += 1
-        pages = self.pages
-        pages.hits += hits
-        pages.total += total
-        if request.op is _READ:
-            side = self.read_pages
-            rs = self.read_response_ms
-        else:
-            side = self.write_pages
-            rs = self.write_response_ms
-        side.hits += hits
-        side.total += total
-        # Inlined RunningStats.add — per-side response stream.
-        rs.count = n = rs.count + 1
-        rs.total += x
-        mean = rs._mean
-        delta = x - mean
-        mean += delta / n
-        rs._mean = mean
-        rs._m2 += delta * (x - mean)
-        if x < rs.min:
-            rs.min = x
-        if x > rs.max:
-            rs.max = x
-        # Inlined RunningStats.add — overall response stream.
-        rs = self.response_ms
-        rs.count = n = rs.count + 1
-        rs.total += x
-        mean = rs._mean
-        delta = x - mean
-        mean += delta / n
-        rs._mean = mean
-        rs._m2 += delta * (x - mean)
-        if x < rs.min:
-            rs.min = x
-        if x > rs.max:
-            rs.max = x
-        # Inlined ReservoirQuantiles.add (same seeded LCG stepping).
+        pages, reads, writes = self.pages, self.read_pages, self.write_pages
+        hits_all, total_all = pages.hits, pages.total
+        r_hits, r_total = reads.hits, reads.total
+        w_hits, w_total = writes.hits, writes.total
+        rs = self.read_response_ms
+        r_n, r_sum, r_mean, r_m2, r_min, r_max = (
+            rs.count, rs.total, rs._mean, rs._m2, rs.min, rs.max
+        )
+        ws = self.write_response_ms
+        w_n, w_sum, w_mean, w_m2, w_min, w_max = (
+            ws.count, ws.total, ws._mean, ws._m2, ws.min, ws.max
+        )
+        ov = self.response_ms
+        n0 = n = ov.count
+        o_sum, o_mean, o_m2, o_min, o_max = ov.total, ov._mean, ov._m2, ov.min, ov.max
         rq = self.response_quantiles
-        rq.count = n = rq.count + 1
-        samples = rq._samples
-        if len(samples) < rq.capacity:
-            samples.append(x)
-        else:
-            rq._state = state = (rq._state * 0x5DEECE66D + 0xB) & 0xFFFFFFFFFFFF
-            j = (state >> 16) % n
-            if j < rq.capacity:
-                samples[j] = x
-        flushes = outcome.flushes
-        if flushes:
-            # Inlined Histogram.add.
-            buckets = self.eviction_hist._buckets
+        q_n, state, samples, capacity = rq.count, rq._state, rq._samples, rq.capacity
+        full = len(samples) >= capacity
+        buckets = self.eviction_hist._buckets
+        buckets_get = buckets.get
+        for request, record in pairs:
+            # Attribute reads: unpacking the NamedTuple costs more.
+            x = record.response_ms
+            outcome = record.outcome
+            hits = outcome.page_hits
+            total = hits + outcome.page_misses
+            hits_all += hits
+            total_all += total
+            # RunningStats.add on the request's side of the response split.
+            if request.op is _READ:
+                r_hits += hits
+                r_total += total
+                r_n += 1
+                r_sum += x
+                delta = x - r_mean
+                r_mean += delta / r_n
+                r_m2 += delta * (x - r_mean)
+                if x < r_min:
+                    r_min = x
+                if x > r_max:
+                    r_max = x
+            else:
+                w_hits += hits
+                w_total += total
+                w_n += 1
+                w_sum += x
+                delta = x - w_mean
+                w_mean += delta / w_n
+                w_m2 += delta * (x - w_mean)
+                if x < w_min:
+                    w_min = x
+                if x > w_max:
+                    w_max = x
+            # RunningStats.add on the overall response stream.
+            n += 1
+            o_sum += x
+            delta = x - o_mean
+            o_mean += delta / n
+            o_m2 += delta * (x - o_mean)
+            if x < o_min:
+                o_min = x
+            if x > o_max:
+                o_max = x
+            # ReservoirQuantiles.add (same seeded LCG stepping); the
+            # reservoir never shrinks, so once full it stays full.
+            q_n += 1
+            if full:
+                state = (state * 0x5DEECE66D + 0xB) & 0xFFFFFFFFFFFF
+                j = (state >> 16) % q_n
+                if j < capacity:
+                    samples[j] = x
+            else:
+                samples.append(x)
+                full = len(samples) >= capacity
+            # Histogram.add per non-empty flush batch.
+            flushes = outcome.flushes
             if type(flushes) is PageEvictions:
                 # LRU's run: one single-page batch per LPN.  Adding the
                 # count at once is exact (integer-valued floats).
-                buckets[1] = buckets.get(1, 0.0) + len(flushes.lpns)
-            else:
-                buckets_get = buckets.get
+                lpns = flushes.lpns
+                if lpns:
+                    buckets[1] = buckets_get(1, 0.0) + len(lpns)
+            elif flushes:
                 for batch in flushes:
                     lpns = batch.lpns
                     if lpns:
                         k = len(lpns)
                         buckets[k] = buckets_get(k, 0.0) + 1.0
+        self.n_requests += n - n0
+        pages.hits, pages.total = hits_all, total_all
+        reads.hits, reads.total = r_hits, r_total
+        writes.hits, writes.total = w_hits, w_total
+        rs.count, rs.total, rs._mean, rs._m2, rs.min, rs.max = (
+            r_n, r_sum, r_mean, r_m2, r_min, r_max
+        )
+        ws.count, ws.total, ws._mean, ws._m2, ws.min, ws.max = (
+            w_n, w_sum, w_mean, w_m2, w_min, w_max
+        )
+        ov.count, ov.total, ov._mean, ov._m2, ov.min, ov.max = (
+            n, o_sum, o_mean, o_m2, o_min, o_max
+        )
+        rq.count, rq._state = q_n, state
 
     # ------------------------------------------------------------------
     # Parallel reduction

@@ -4,9 +4,10 @@ The central experimental harness.  Three public drivers share one
 private replay loop, ``_replay``: it builds the policy and every
 configured observer (tracer, invariant checker, flight recorder, metrics
 sampler, tenant accountant, eviction digest, list log, telemetry,
-profiler), folds each request's :class:`~repro.ssd.controller.RequestRecord`
-into a :class:`~repro.sim.metrics.ReplayMetrics`, and finalises it.  The
-drivers differ only in how one request is serviced:
+profiler), folds every request's :class:`~repro.ssd.controller.RequestRecord`
+into a :class:`~repro.sim.metrics.ReplayMetrics` (``FOLD_CHUNK`` requests
+at a time), and finalises it.  The drivers differ only in how one
+request is serviced:
 
 * ``replay_trace`` — open loop, the paper's methodology: the request
   goes to an :class:`~repro.ssd.controller.SSDController`, sized for the
@@ -32,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cache.base import CachePolicy
 from repro.cache.registry import create_policy
@@ -68,6 +69,14 @@ __all__ = [
 
 #: How often (in requests) the metadata footprint is sampled.
 METADATA_SAMPLE_INTERVAL = 256
+
+#: How often (in requests) the replay folds its pending records into
+#: the metrics and the eviction digest.  It divides
+#: ``METADATA_SAMPLE_INTERVAL``, so the telemetry read there sees every
+#: request before it.  A chunk's outcomes stay alive until it is folded,
+#: and 64 keeps them under the cyclic collector's generation-0
+#: threshold (700 net container allocations), which 256 passed.
+FOLD_CHUNK = 64
 
 
 def written_footprint(trace: Trace) -> int:
@@ -172,8 +181,9 @@ class ReplayConfig:
     #: order) into ``ReplayMetrics.eviction_digest`` — the same sha256
     #: encoding the optimisation-equivalence goldens use.  The
     #: serial-vs-parallel test suite relies on this to prove the
-    #: parallel engine behaviourally invisible; costs one branch per
-    #: request when off.
+    #: parallel engine behaviourally invisible.  When on, the replay
+    #: hashes each ``FOLD_CHUNK``-request chunk in one ``update``; when
+    #: off it costs one branch per chunk.
     digest_evictions: bool = False
 
     @property
@@ -340,8 +350,11 @@ def _replay(
 ) -> ReplayMetrics:
     """The one replay driver behind the three public ones.
 
-    Builds the policy and every configured observer, then folds each
-    request's record into the metrics.  With ``device`` the requests go
+    Builds the policy and every configured observer, then replays the
+    trace.  Each recorded ``(request, record)`` pair waits in a pending
+    chunk, which is folded into the metrics (and the eviction digest)
+    every ``FOLD_CHUNK`` requests, after the loop, and before a flight
+    dump.  With ``device`` the requests go
     through an :class:`SSDController`, at their arrival times or, with
     ``closed_loop``, through a :class:`_QueueDepthShaper`; without it the
     policy alone serves them and no controller is built.
@@ -394,6 +407,19 @@ def _replay(
     recorder, sampler = _resolve_recorder(config)
     accountant = _resolve_accountant(config)
     digest = hashlib.sha256() if config.digest_evictions else None
+    # Recorded (request, record) pairs not yet folded.
+    pending: List[Tuple[IORequest, RequestRecord]] = []
+    pending_append = pending.append
+
+    def fold_pending() -> None:
+        # Detach the chunk first, so a fold that dies part-way is never
+        # folded again by the flight dump's fold.
+        chunk = pending[:]
+        pending.clear()
+        metrics.fold(chunk)
+        if digest is not None:
+            fold_eviction_digest(digest, chunk)
+
     track_lists = config.log_lists and isinstance(policy, ReqBlockCache)
     flight = _resolve_flight(config)
     telemetry = make_emitter(len(trace), phase="replay" if device else "cache_only")
@@ -406,7 +432,6 @@ def _replay(
     warmup = config.warmup_requests
     power_loss_at = config.power_loss_at if device else None
     sample_interval = config.sample_interval
-    record_metrics = metrics.record
     metadata_add = metrics.metadata_bytes.add
     policy_metadata_bytes = policy.metadata_bytes
 
@@ -434,28 +459,30 @@ def _replay(
                 metrics.aborted_reason = str(exc)
                 metrics.aborted_at_request = i
                 if flight is not None:
+                    fold_pending()
                     flight.record_dump(f"replay_aborted: {exc}", metrics)
                 break
             if i < warmup:
                 continue
-            record_metrics(request, record)
+            pending_append((request, record))
             if accountant is not None:
                 accountant.record(request, record)
-            if digest is not None and record.outcome.flushes:
-                fold_eviction_digest(digest, record.outcome.flushes)
             if recorder is not None:
                 recorder.record(request, record)
                 sampler.maybe_sample(
                     i, request.time if shaper is None else shaper.last_submit
                 )
-            if not i % METADATA_SAMPLE_INTERVAL:
-                metadata_add(policy_metadata_bytes())
-                if telemetry is not None:
-                    # A cache-only replay has no GC, hence no erases.
-                    erased = controller.gc.stats.blocks_erased if controller else 0
-                    telemetry.maybe_emit(i, metrics.pages.ratio, erased)
+            if not i % FOLD_CHUNK:
+                fold_pending()
+                if not i % METADATA_SAMPLE_INTERVAL:
+                    metadata_add(policy_metadata_bytes())
+                    if telemetry is not None:
+                        # A cache-only replay has no GC, hence no erases.
+                        erased = controller.gc.stats.blocks_erased if controller else 0
+                        telemetry.maybe_emit(i, metrics.pages.ratio, erased)
             if track_lists and not i % sample_interval and i > 0:
                 metrics.list_log.append((i, policy.list_page_counts()))
+        fold_pending()
 
         # When the last request went to the device: its arrival in the
         # open loop, its submission under queue-depth shaping.
@@ -475,6 +502,7 @@ def _replay(
         # where the partial metrics are still live, and let the caller
         # (CLI or supervised worker) decide where the dump goes.
         if flight is not None:
+            fold_pending()
             flight.record_dump(f"exception: {type(exc).__name__}: {exc}", metrics)
         raise
     finally:

@@ -15,8 +15,10 @@ drivers ask :func:`make_emitter` for an emitter at loop start.  With no
 sink installed — every run without ``telemetry`` — ``make_emitter``
 returns None and the loops skip telemetry entirely; with one installed,
 the check piggybacks on the existing metadata-sampling branch (every
-256 requests) and the wall-clock rate limit keeps actual sends to about
-one per ``interval_s``, so frames never become hot-path traffic.
+256 requests, right after the replay folds its pending chunk, so a
+frame's hit ratio covers every request it counts) and the wall-clock
+rate limit keeps actual sends to about one per ``interval_s``, so
+frames never become hot-path traffic.
 """
 
 from __future__ import annotations

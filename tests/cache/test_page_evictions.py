@@ -5,13 +5,15 @@ LRU's fused ``access`` hands a request's victims on as one
 page.  These tests pin that the view reads exactly as the materialised
 list ``[FlushBatch([lpn]) for lpn in lpns]``, and that the consumers
 which read its LPNs whole — ``SSDController.submit``,
-``ReplayMetrics.record`` and ``fold_eviction_digest`` — end in exactly
-the state the materialised list gives them.
+``ReplayMetrics.fold``, ``fold_eviction_digest`` and
+``MetricsRecorder.record`` — end in exactly the state the materialised
+list gives them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import pickle
 from dataclasses import fields
 
@@ -23,9 +25,10 @@ from repro.cache.base import AccessOutcome, FlushBatch, PageEvictions
 from repro.cache.lru import LRUCache
 from repro.faults.injector import FaultInjector
 from repro.faults.profile import get_profile
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseProfiler
 from repro.obs.tracer import CountingTracer
-from repro.sim.metrics import ReplayMetrics, fold_eviction_digest
+from repro.sim.metrics import MetricsRecorder, ReplayMetrics, fold_eviction_digest
 from repro.sim.replay import ReplayConfig, replay_trace
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDController
@@ -169,7 +172,8 @@ def _device_state(c: SSDController) -> dict:
 
 
 def _run(trace, outcomes, faults, profiled):
-    """Service ``outcomes`` on a fresh device; fold records and digest."""
+    """Service ``outcomes`` on a fresh device; fold records, digest and
+    registry instruments."""
     profiler = PhaseProfiler() if profiled else None
     injector = None
     if faults is not None:
@@ -178,15 +182,18 @@ def _run(trace, outcomes, faults, profiled):
         DEVICE, _Replayed(outcomes), faults=injector, profiler=profiler
     )
     records = [controller.submit(r) for r in trace]
+    pairs = list(zip(trace, records))
     metrics = ReplayMetrics(trace_name=trace.name, policy_name="lru")
+    metrics.fold(pairs)
     digest = hashlib.sha256()
+    fold_eviction_digest(digest, pairs)
+    registry = MetricsRegistry()
+    recorder = MetricsRecorder(registry)
     # The per-batch ``repr`` encoding of the seed equivalence suite,
     # over the batches as iteration yields them.
     reference = hashlib.sha256()
-    for request, record in zip(trace, records):
-        metrics.record(request, record)
-        if record.outcome.flushes:
-            fold_eviction_digest(digest, record.outcome.flushes)
+    for request, record in pairs:
+        recorder.record(request, record)
         for batch in record.outcome.flushes:
             reference.update(repr((tuple(batch.lpns), batch.pin_key)).encode())
     return {
@@ -197,6 +204,8 @@ def _run(trace, outcomes, faults, profiled):
         },
         "digest": digest.hexdigest(),
         "reference_digest": reference.hexdigest(),
+        # What one ``--metrics-out`` JSONL line would hold.
+        "registry": json.dumps(registry.snapshot(0.0), sort_keys=True),
         "profile_calls": {
             name: cells["calls"] for name, cells in profiler.as_dict().items()
         }
@@ -221,6 +230,8 @@ def test_consumers_match_the_materialised_list(trace, outcomes, faults, profiled
     assert viewed["device"] == listed["device"]
     assert viewed["responses"] == listed["responses"]
     assert viewed["metrics"] == listed["metrics"]
+    assert viewed["registry"] == listed["registry"]
+    assert json.loads(viewed["registry"])["cache.evictions_total"] > 0
     assert viewed["profile_calls"] == listed["profile_calls"]
     assert viewed["digest"] == listed["digest"] == listed["reference_digest"]
     assert viewed["reference_digest"] == listed["reference_digest"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import EXIT_ABORTED, main
+from repro.obs.flight import FlightRecorder
 from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.ssd.controller import SSDController
 from repro.ssd.flash import FlashOutOfSpace
@@ -49,18 +50,37 @@ class TestDurabilityAttachment:
         assert rows["power_loss_at_request"] == 50
 
 
+#: Summary fields that only the metrics fold writes.
+FOLDED_FIELDS = (
+    "requests",
+    "hit_ratio",
+    "read_hit_ratio",
+    "write_hit_ratio",
+    "mean_response_ms",
+    "p99_response_ms",
+    "total_response_ms",
+    "evictions",
+    "mean_eviction_pages",
+)
+
+
+def fail_submit_at(monkeypatch, index: int, exc: BaseException) -> None:
+    """Make ``SSDController.submit`` raise ``exc`` on request ``index``."""
+    original = SSDController.submit
+    state = {"n": 0}
+
+    def flaky_submit(self, request):
+        if state["n"] == index:
+            raise exc
+        state["n"] += 1
+        return original(self, request)
+
+    monkeypatch.setattr(SSDController, "submit", flaky_submit)
+
+
 class TestAbortedReplay:
     def test_device_fatal_error_aborts_with_partial_metrics(self, monkeypatch):
-        original = SSDController.submit
-        state = {"n": 0}
-
-        def flaky_submit(self, request):
-            if state["n"] == 7:
-                raise FlashOutOfSpace("plane 0 has no free blocks")
-            state["n"] += 1
-            return original(self, request)
-
-        monkeypatch.setattr(SSDController, "submit", flaky_submit)
+        fail_submit_at(monkeypatch, 7, FlashOutOfSpace("plane 0 has no free blocks"))
         metrics = replay_trace(
             random_writes(50, span_pages=64), small_config(drain_at_end=True)
         )
@@ -71,6 +91,38 @@ class TestAbortedReplay:
         assert metrics.n_requests == 7, "metrics up to the abort are kept"
         assert metrics.durability is not None, "abort always attaches a report"
         metrics.summary()  # partial metrics must still summarise
+
+    def test_abort_past_the_first_chunk_dumps_every_request(self, monkeypatch):
+        """The replay folds its records in chunks; an abort after the
+        first chunk folds the pending ones before the flight dump."""
+        fail_submit_at(monkeypatch, 150, FlashOutOfSpace("plane 0 has no free blocks"))
+        recorder = FlightRecorder()
+        metrics = replay_trace(
+            random_writes(300, span_pages=64), small_config(flight=recorder)
+        )
+
+        dump = recorder.last_dump
+        assert dump["reason"].startswith("replay_aborted")
+        assert metrics.aborted_at_request == 150
+        assert metrics.n_requests == 150
+        assert dump["metrics"]["requests"] == 150
+        # The dump precedes finalisation (flash counters, utilisation);
+        # the fields the record fold alone determines are final.
+        summary = metrics.summary()
+        for key in FOLDED_FIELDS:
+            assert dump["metrics"][key] == summary[key], key
+
+    def test_exception_past_the_first_chunk_dumps_every_request(self, monkeypatch):
+        fail_submit_at(monkeypatch, 150, RuntimeError("injected"))
+        recorder = FlightRecorder()
+        with pytest.raises(RuntimeError, match="injected"):
+            replay_trace(
+                random_writes(300, span_pages=64), small_config(flight=recorder)
+            )
+
+        dump = recorder.last_dump
+        assert dump["reason"] == "exception: RuntimeError: injected"
+        assert dump["metrics"]["requests"] == 150
 
 
 class TestCliExitCodes:

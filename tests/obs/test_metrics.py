@@ -66,6 +66,10 @@ class TestGauge:
         assert a.value == 1.0
 
 
+def _state(h: Histogram) -> tuple:
+    return (h.count, h.sum.hex(), h.min, h.max, h._zero, h._buckets)
+
+
 class TestHistogram:
     def test_basic_stats(self):
         h = Histogram()
@@ -85,6 +89,17 @@ class TestHistogram:
         assert h.count == 3
         # q below the zero-bucket mass returns the (clamped) min.
         assert h.quantile(0.5) == 0.0
+
+    @pytest.mark.parametrize("x", [1, 3, 0.0, -2.0])
+    def test_observe_n_is_n_observes_of_an_integer_sample(self, x):
+        once, many = Histogram(), Histogram()
+        for h in (once, many):
+            h.observe(5.0)
+        once.observe(x, 7)
+        for _ in range(7):
+            many.observe(x)
+        assert _state(once) == _state(many)
+        assert once.flatten("h") == many.flatten("h")
 
     def test_empty_quantile_is_zero(self):
         assert Histogram().quantile(0.99) == 0.0

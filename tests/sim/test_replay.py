@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.cache.registry import PAPER_COMPARISON
 from repro.sim.replay import (
+    FOLD_CHUNK,
+    METADATA_SAMPLE_INTERVAL,
     ReplayConfig,
     replay_cache_only,
     replay_trace,
@@ -12,6 +17,7 @@ from repro.sim.replay import (
     written_footprint,
 )
 from repro.traces.model import Trace
+from repro.traces.workloads import get_workload, scaled_cache_bytes
 from tests.conftest import R, W, make_trace
 
 
@@ -180,3 +186,28 @@ class TestUtilisationReporting:
             tiny_trace, ReplayConfig(policy="lru", cache_bytes=64 * 4096)
         )
         assert m.mean_plane_utilisation == 0.0
+
+
+class TestChunkedFold:
+    def test_chunk_divides_the_metadata_interval(self):
+        assert METADATA_SAMPLE_INTERVAL % FOLD_CHUNK == 0
+
+    @pytest.mark.parametrize("policy", PAPER_COMPARISON)
+    def test_replay_runs_few_cyclic_collections(self, policy):
+        """A replay keeps each chunk's outcomes alive until it folds
+        them, so a chunk that outgrew the generation-0 threshold (700
+        net allocations) would set off a collection every chunk or two:
+        a chunk of 256 runs 111-234 per replay of this trace, one of 64
+        at most one."""
+        scale = 1 / 64
+        trace = get_workload("src1_2", scale)
+        assert len(trace) >= 20_000
+        config = ReplayConfig(policy=policy, cache_bytes=scaled_cache_bytes(16, scale))
+
+        def collections() -> int:
+            return sum(generation["collections"] for generation in gc.get_stats())
+
+        gc.collect()
+        before = collections()
+        replay_trace(trace, config)
+        assert collections() - before <= 2

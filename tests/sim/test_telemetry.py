@@ -164,9 +164,16 @@ class TestReplayIntegration:
         last = frames[-1]
         assert last.total_requests == len(trace.requests)
         assert last.requests <= len(trace.requests)
-        # Monotone progress, and the hit ratio matches the replay's own.
+        # Monotone progress, and each frame's hit ratio is the replay's
+        # own over the requests it reports: the chunked metrics fold has
+        # folded every one of them when the frame is taken.
         reqs = [f.requests for f in frames]
         assert reqs == sorted(reqs)
+        assert len(frames) > 2
+        config = ReplayConfig(policy="lru", cache_bytes=CACHE)
+        for frame in frames:
+            head = replay_cache_only(trace.head(frame.requests), config)
+            assert frame.hit_ratio == head.hit_ratio, frame.requests
         assert last.hit_ratio > 0
         assert metrics.summary()["hit_ratio"] > 0
 

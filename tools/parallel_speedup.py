@@ -10,6 +10,12 @@ a PR description:
 
     PYTHONPATH=src python tools/parallel_speedup.py --scale 0.015625
 
+One pass of a grid says little on a shared host: on a 2-vCPU VM the
+same serial Fig. 8 pass has read 35-52 s across runs of identical code.
+``--repeats N`` alternates the serial and parallel passes N times per
+grid and reports every pass, each side's median [q1, q3] and the ratio
+of the two medians; the default of 1 prints the single-pass report.
+
 All six paper workloads are pre-generated (and memoised) before either
 timing pass so the serial pass does not get a cold-trace handicap and
 the parallel pass is charged for its real worker-side regeneration
@@ -23,6 +29,11 @@ import argparse
 import os
 import sys
 import time
+from typing import List, Optional
+
+# perf_ab.py sits beside this script, in ``sys.path[0]``: the same
+# quartiles as the parent/change A/B runner.
+from perf_ab import quartiles
 
 from repro.experiments import fig8_response_time, fig9_hit_ratio
 from repro.experiments.common import ExperimentSettings
@@ -37,7 +48,35 @@ def _timed(label: str, fn) -> float:
     return elapsed
 
 
-def main() -> int:
+def report_lines(
+    label: str, jobs: int, serial: List[float], parallel: List[float]
+) -> List[str]:
+    """The report lines of one grid's passes, in pass order.
+
+    One pass of each gives the single-pass line; more give every pass,
+    each side's median [q1, q3] and the speedup as the ratio of the
+    serial median to the parallel one.
+    """
+    if len(serial) == 1 and len(parallel) == 1:
+        speedup = serial[0] / parallel[0] if parallel[0] else 0.0
+        return [
+            f"{label}: serial {serial[0]:.1f}s, parallel {parallel[0]:.1f}s "
+            f"({jobs} jobs) -> {speedup:.2f}x"
+        ]
+    s_q1, s_med, s_q3 = quartiles(serial)
+    p_q1, p_med, p_q3 = quartiles(parallel)
+    speedup = s_med / p_med if p_med else 0.0
+    return [
+        f"{label} passes: serial {' '.join(f'{t:.1f}' for t in serial)}; "
+        f"parallel {' '.join(f'{t:.1f}' for t in parallel)}",
+        f"{label}: serial {s_med:.1f}s [{s_q1:.1f}, {s_q3:.1f}], "
+        f"parallel {p_med:.1f}s [{p_q1:.1f}, {p_q3:.1f}] "
+        f"({jobs} jobs, {len(serial)} alternating passes) -> {speedup:.2f}x "
+        "(ratio of medians)",
+    ]
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--scale", type=float, default=DEFAULT_SCALE,
@@ -48,10 +87,17 @@ def main() -> int:
         help="parallel worker count (default: all cores)",
     )
     parser.add_argument(
+        "--repeats", type=int, default=1, metavar="N",
+        help="alternate the serial and parallel passes N times per grid "
+        "(default: 1)",
+    )
+    parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="also append the report lines to PATH",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, got {args.repeats}")
     jobs = args.jobs or os.cpu_count() or 1
 
     print(f"pre-generating {len(WORKLOAD_ORDER)} workloads at scale {args.scale:g}")
@@ -65,8 +111,9 @@ def main() -> int:
 
     info = buildinfo()
     quiet = dict(out=lambda _s: None, scale=args.scale)
+    repeats = f", repeats={args.repeats}" if args.repeats > 1 else ""
     lines = [
-        f"parallel speedup @ scale={args.scale:g}, jobs={jobs}",
+        f"parallel speedup @ scale={args.scale:g}, jobs={jobs}{repeats}",
         f"env: cpus={os.cpu_count()}, "
         f"start_method={resolve_start_method()}, "
         f"python={info['python']}, rev={info['git_rev'] or '-'}, "
@@ -74,18 +121,22 @@ def main() -> int:
     ]
     for label, experiment in (("fig8", fig8_response_time), ("fig9", fig9_hit_ratio)):
         print(f"{label} grid:")
-        serial = _timed(
-            "serial  ", lambda: experiment.run(ExperimentSettings(processes=1, **quiet))
-        )
-        parallel = _timed(
-            f"jobs={jobs:<4}",
-            lambda: experiment.run(ExperimentSettings(processes=jobs, **quiet)),
-        )
-        speedup = serial / parallel if parallel else 0.0
-        lines.append(
-            f"{label}: serial {serial:.1f}s, parallel {parallel:.1f}s "
-            f"({jobs} jobs) -> {speedup:.2f}x"
-        )
+        serial: List[float] = []
+        parallel: List[float] = []
+        for _ in range(args.repeats):
+            serial.append(
+                _timed(
+                    "serial  ",
+                    lambda: experiment.run(ExperimentSettings(processes=1, **quiet)),
+                )
+            )
+            parallel.append(
+                _timed(
+                    f"jobs={jobs:<4}",
+                    lambda: experiment.run(ExperimentSettings(processes=jobs, **quiet)),
+                )
+            )
+        lines += report_lines(label, jobs, serial, parallel)
     report = "\n".join(lines)
     print(report)
     if args.out:

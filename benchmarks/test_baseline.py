@@ -9,7 +9,9 @@
   plain — the <= 5% budget from docs/metrics.md applies here — and
   metrics/profiler *enabled* vs plain, on both the cache-only fast
   path (worst case: nothing to hide behind) and the full device model
-  (where the per-request recording amortises).
+  (where the per-request recording amortises);
+* ``trace_generate_s``, the best of 3 syntheses of the baseline trace
+  (``tools/check_bench.py`` reports its ratio but does not gate it).
 
 The JSON is a tracking artefact, not a gate — machine-dependent numbers
 belong in a dated file, not an assertion.  The functional gates live in
@@ -71,6 +73,7 @@ def test_benchmark_baseline(benchmark):
         "date": datetime.date.today().isoformat(),
         "scale": BENCH_SCALE,
         "n_requests": len(trace),
+        "trace_generate_s": round(_best_of(3, _baseline_trace), 4),
         "cache_bytes": CACHE_BYTES,
         "replay_req_per_s": {},
         "cache_only_req_per_s": {},

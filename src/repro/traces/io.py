@@ -1,10 +1,14 @@
 """Fast binary trace storage (numpy ``.npz``) and its columnar codec.
 
-Regenerating a scaled workload takes ~1 s, but a full-length paper
-workload (4.2 M requests for proj_0) takes tens of seconds per run —
-and full-scale sweeps replay each trace dozens of times.  This module
-round-trips any :class:`Trace` through a compact columnar ``.npz``
-(four aligned arrays: time, op, lpn, npages), loading in milliseconds.
+This module round-trips any :class:`Trace` through a compact columnar
+``.npz`` (four aligned arrays: time, op, lpn, npages).  Reading the
+arrays takes milliseconds; building the request objects from them is
+the cost of a load, and it is also most of the cost of synthesising a
+workload, which resolves its addresses as columns and builds requests
+through the same :func:`trace_from_columns`.  proj_0 at 1/4 scale
+(1.06 M requests) took 1.9 s to synthesise and 1.6 s to load on a
+2-vCPU VM, so for a paper workload the file saves little time over
+regenerating it.
 
 The same four columns are the in-memory wire format of a trace:
 :func:`trace_columns` / :func:`trace_from_columns` convert requests to
@@ -13,19 +17,21 @@ and from them, and a pickled :class:`Trace` is its columns
 tens of thousands of request objects do not.
 
 ``cached_workload`` wraps the named paper workloads with a disk cache
-keyed by (name, scale).
+keyed by every field of the scaled config.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from pathlib import Path
-from typing import Dict, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.traces.model import IORequest, OpType, Trace
 from repro.traces.workloads import get_config
-from repro.traces.synthetic import generate_trace
+from repro.traces.synthetic import SyntheticConfig, generate_trace
 
 __all__ = [
     "save_trace",
@@ -38,6 +44,9 @@ __all__ = [
 PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
+
+#: Rows :func:`trace_from_columns` converts per ``tolist`` call.
+_ROWS_PER_CHUNK = 1 << 14
 
 
 def trace_columns(requests: Sequence[IORequest]) -> Dict[str, np.ndarray]:
@@ -61,17 +70,23 @@ def trace_from_columns(name: str, columns: Mapping[str, np.ndarray]) -> Trace:
     Columns convert with ``tolist`` so every request carries Python
     scalars, and each request goes through the normal constructor, so
     field validation and the trace's sort check run as for any trace.
+    They convert ``_ROWS_PER_CHUNK`` rows at a time, so the temporary
+    lists stay small next to the requests they build.
     """
     read, write = OpType.READ, OpType.WRITE
-    requests = [
-        IORequest(time, write if op else read, lpn, npages)
-        for time, op, lpn, npages in zip(
-            columns["time"].tolist(),
-            columns["op"].tolist(),
-            columns["lpn"].tolist(),
-            columns["npages"].tolist(),
-        )
-    ]
+    time, op, lpn, npages = (columns[key] for key in ("time", "op", "lpn", "npages"))
+    requests: List[IORequest] = []
+    for start in range(0, len(time), _ROWS_PER_CHUNK):
+        rows = slice(start, start + _ROWS_PER_CHUNK)
+        requests += [
+            IORequest(t, write if o else read, first, size)
+            for t, o, first, size in zip(
+                time[rows].tolist(),
+                op[rows].tolist(),
+                lpn[rows].tolist(),
+                npages[rows].tolist(),
+            )
+        ]
     return Trace(name, requests)
 
 
@@ -106,16 +121,22 @@ def cached_workload(
     """A named paper workload, memoised on disk.
 
     The first call generates and saves; later calls (including from
-    other processes) load the ``.npz``.  The file name encodes the
-    generator seed via (name, scale), so changing the workload configs
-    in :mod:`repro.traces.workloads` requires clearing the cache
-    directory.
+    other processes) load the ``.npz``.  The file name carries a hash of
+    every field of the scaled config and of the file format version, so
+    re-tuning a workload in :mod:`repro.traces.workloads` (its seed
+    included) writes a new file instead of loading a stale one.
     """
     cfg = get_config(name, scale)
-    cache_dir = Path(cache_dir)
-    path = cache_dir / f"{name}-s{scale:.8f}-n{cfg.n_requests}.npz"
+    path = Path(cache_dir) / f"{name}-s{scale:.8f}-{_config_key(cfg)}.npz"
     if path.exists():
         return load_trace(path)
     trace = generate_trace(cfg)
     save_trace(trace, path)
     return trace
+
+
+def _config_key(cfg: SyntheticConfig) -> str:
+    """Short hash of every field of ``cfg`` and of ``_FORMAT_VERSION``."""
+    fields = [(f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg)]
+    text = repr((_FORMAT_VERSION, fields))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -15,7 +15,11 @@ properties match Table 2 and Figures 2/3 of the paper:
   comparison of Figure 8) is meaningful.
 
 The generator is a small Markov model driven by a seeded
-:class:`numpy.random.Generator`; traces are bit-reproducible.
+:class:`numpy.random.Generator`; traces are bit-reproducible.  It makes
+every random draw first and then resolves the request addresses as
+columns, one request class at a time (docs/workload_calibration.md,
+"How a trace is built").  The draws' calls, order and sizes pin every
+trace, so none may change without re-recording every trace pin.
 
 Address-space layout (in pages)::
 
@@ -34,13 +38,12 @@ hit a cold uniformly random address.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.traces.model import IORequest, OpType, Trace
+from repro.traces.model import Trace
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import (
     require_in_range,
@@ -118,11 +121,22 @@ class SyntheticConfig:
         require_positive(self.large_span_pages, "large_span_pages")
         require_positive(self.n_streams, "n_streams")
         require_in_range(self.large_rewrite_prob, "large_rewrite_prob", 0.0, 1.0)
+        require_non_negative(self.recent_large_window, "recent_large_window")
         require_in_range(self.read_recent_prob, "read_recent_prob", 0.0, 1.0)
         require_in_range(self.read_small_bias, "read_small_bias", 0.0, 1.0)
-        require_positive(self.mean_burst_len, "mean_burst_len")
+        require_non_negative(self.recent_small_window, "recent_small_window")
+        require_in_range(
+            self.small_partial_read_prob, "small_partial_read_prob", 0.0, 1.0
+        )
+        # A burst ends after each request with probability 1/mean_burst_len.
+        if not self.mean_burst_len >= 1:
+            raise ValueError(
+                f"mean_burst_len must be at least 1, got {self.mean_burst_len!r}"
+            )
         require_non_negative(self.intra_burst_gap_ms, "intra_burst_gap_ms")
         require_non_negative(self.inter_burst_gap_ms, "inter_burst_gap_ms")
+        if self.target_pages_per_ms is not None:
+            require_positive(self.target_pages_per_ms, "target_pages_per_ms")
 
     # ------------------------------------------------------------------
     @property
@@ -182,6 +196,11 @@ class SyntheticConfig:
         )
 
 
+#: Reads resolved per :func:`_read_extents` call: bounded so its
+#: temporaries stay small next to the trace.
+_READS_PER_CHUNK = 1 << 13
+
+
 def _zipf_probabilities(n: int, theta: float) -> np.ndarray:
     """Normalised generalized-Zipf weights 1/k^theta for k = 1..n."""
     ranks = np.arange(1, n + 1, dtype=np.float64)
@@ -207,12 +226,16 @@ class SyntheticTraceGenerator:
         convention in CONTRIBUTING.md); callers sharing a Generator
         must account for the draws this consumes.
         """
+        # Lazy import: repro.traces.io imports this module.
+        from repro.traces.io import trace_from_columns
+
         cfg = self.config
         rng = resolve_rng(rng, cfg.seed)
         n = cfg.n_requests
 
-        # Pre-draw everything vectorisable; the loop only does the
-        # state-dependent address selection.
+        # Every draw is made up front.  The calls, their order and their
+        # sizes pin every trace (docs/workload_calibration.md); a uniform
+        # that is only ever compared is kept as its comparison.
         is_write = rng.random(n) < cfg.write_ratio
         is_small = rng.random(n) < cfg.small_write_fraction
         # Small sizes: shifted geometric clipped to [1, small_size_max].
@@ -229,69 +252,58 @@ class SyntheticTraceGenerator:
         slot_probs = _zipf_probabilities(cfg.n_hot_slots, cfg.zipf_theta)
         slot_ranks = rng.choice(cfg.n_hot_slots, size=n, p=slot_probs)
         slot_perm = rng.permutation(cfg.n_hot_slots)
-        u_rewrite = rng.random(n)
-        u_read_recent = rng.random(n)
-        u_read_small = rng.random(n)
-        u_misc = rng.random(n)
+        rewrite = rng.random(n) < cfg.large_rewrite_prob
+        read_recent = rng.random(n) < cfg.read_recent_prob
+        read_small = rng.random(n) < cfg.read_small_bias
+        u_frac = rng.random(n)
         stream_pick = rng.integers(0, cfg.n_streams, size=n)
-        recent_pick = rng.integers(0, 1 << 30, size=n)
-
-        # Arrival process: bursts of geometric length.  ``tolist`` hands
-        # the simulator Python floats: a numpy.float64 request clock
-        # would turn every timing-model and metrics update into numpy
-        # scalar arithmetic and pickle through numpy's scalar reduce.
-        times = self._arrival_times(rng, n).tolist()
-
-        hot_base = 0
-        large_base = cfg.hot_span_pages
-        stream_cursors = [
-            large_base + int(rng.integers(0, cfg.large_span_pages))
+        pick = rng.integers(0, 1 << 30, size=n)
+        times = self._arrival_times(rng, n)
+        cursors = [
+            cfg.hot_span_pages + int(rng.integers(0, cfg.large_span_pages))
             for _ in range(cfg.n_streams)
         ]
-        recent_large: Deque[Tuple[int, int]] = deque(maxlen=cfg.recent_large_window)
-        recent_small: Deque[Tuple[int, int]] = deque(maxlen=cfg.recent_small_window)
-        device_span = large_base + cfg.large_span_pages
 
-        requests: List[IORequest] = []
-        append = requests.append
-        for i in range(n):
-            if is_write[i]:
-                if is_small[i]:
-                    lpn, npages = self._small_write(
-                        cfg,
-                        hot_base,
-                        slot_perm,
-                        int(slot_ranks[i]),
-                        int(small_sizes[i]),
-                    )
-                    recent_small.append((lpn, npages))
-                else:
-                    lpn, npages = self._large_write(
-                        cfg,
-                        large_base,
-                        stream_cursors,
-                        int(stream_pick[i]),
-                        int(large_sizes[i]),
-                        recent_large,
-                        float(u_rewrite[i]),
-                        int(recent_pick[i]),
-                    )
-                    recent_large.append((lpn, npages))
-                append(IORequest(times[i], OpType.WRITE, lpn, npages))
-            else:
-                lpn, npages = self._read(
-                    cfg,
-                    recent_small,
-                    recent_large,
-                    device_span,
-                    float(u_read_recent[i]),
-                    float(u_read_small[i]),
-                    float(u_misc[i]),
-                    int(recent_pick[i]),
-                    int(small_sizes[i]),
-                )
-                append(IORequest(times[i], OpType.READ, lpn, npages))
-        return Trace(cfg.name, requests)
+        # The address columns, one request class at a time.  Each draw
+        # array is dropped once the last class that reads it is resolved.
+        lpn = np.empty(n, dtype=np.int64)
+        npages = np.empty(n, dtype=np.int64)
+        # Small writes: the whole extent of the slot their rank maps to.
+        small = np.flatnonzero(is_write & is_small)
+        lpn[small] = slot_perm[slot_ranks[small]] * cfg.small_size_max
+        npages[small] = small_sizes[small]
+        del slot_ranks, slot_perm
+        large = np.flatnonzero(is_write & ~is_small)
+        del is_small
+        lpn[large], npages[large] = _large_extents(
+            cfg,
+            cursors,
+            rewrite[large],
+            pick[large],
+            stream_pick[large],
+            large_sizes[large],
+        )
+        del rewrite, stream_pick, large_sizes
+        reads = np.flatnonzero(~is_write)
+        for start in range(0, len(reads), _READS_PER_CHUNK):
+            at = reads[start : start + _READS_PER_CHUNK]
+            lpn[at], npages[at] = _read_extents(
+                cfg,
+                small,
+                large,
+                at,
+                lpn,
+                npages,
+                read_recent[at],
+                read_small[at],
+                u_frac[at],
+                pick[at],
+                small_sizes[at],
+            )
+        del small, large, reads, read_recent, read_small, u_frac, pick, small_sizes
+        return trace_from_columns(
+            cfg.name, {"time": times, "op": is_write, "lpn": lpn, "npages": npages}
+        )
 
     # ------------------------------------------------------------------
     def _arrival_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -305,68 +317,98 @@ class SyntheticTraceGenerator:
         gaps[0] = 0.0
         return np.cumsum(gaps)
 
-    @staticmethod
-    def _small_write(
-        cfg: SyntheticConfig,
-        hot_base: int,
-        slot_perm: np.ndarray,
-        rank: int,
-        size: int,
-    ) -> Tuple[int, int]:
-        slot = int(slot_perm[rank])
-        lpn = hot_base + slot * cfg.small_size_max
-        return lpn, size
 
-    @staticmethod
-    def _large_write(
-        cfg: SyntheticConfig,
-        large_base: int,
-        cursors: List[int],
-        stream: int,
-        size: int,
-        recent_large: Deque[Tuple[int, int]],
-        u_rewrite: float,
-        pick: int,
-    ) -> Tuple[int, int]:
-        if recent_large and u_rewrite < cfg.large_rewrite_prob:
-            return recent_large[pick % len(recent_large)]
-        lpn = cursors[stream]
-        end = large_base + cfg.large_span_pages
-        if lpn + size > end:
-            lpn = large_base
-        cursors[stream] = lpn + size
-        return lpn, size
+def _large_extents(
+    cfg: SyntheticConfig,
+    cursors: List[int],
+    rewrite: np.ndarray,
+    pick: np.ndarray,
+    stream: np.ndarray,
+    size: np.ndarray,
+) -> Tuple[List[int], List[int]]:
+    """LPN and size of each large write, in trace order.
 
-    @staticmethod
-    def _read(
-        cfg: SyntheticConfig,
-        recent_small: Deque[Tuple[int, int]],
-        recent_large: Deque[Tuple[int, int]],
-        device_span: int,
-        u_recent: float,
-        u_small: float,
-        u_frac: float,
-        pick: int,
-        fallback_size: int,
-    ) -> Tuple[int, int]:
-        if u_recent < cfg.read_recent_prob:
-            if recent_small and (u_small < cfg.read_small_bias or not recent_large):
-                lpn, npages = recent_small[pick % len(recent_small)]
-                if npages > 1 and u_frac < cfg.small_partial_read_prob:
-                    # Touch one page of the extent; siblings stay cold
-                    # until a later read (exercises delta's protection).
-                    return lpn + (pick % npages), 1
-                return lpn, npages
-            if recent_large:
-                # Partial re-read of a large extent: this is what drives
-                # Req-block's split-to-DRL machinery.
-                lpn, npages = recent_large[pick % len(recent_large)]
-                sub_len = max(1, int(u_frac * min(npages, cfg.small_size_max + 1)))
-                offset = pick % max(1, npages - sub_len + 1)
-                return lpn + offset, sub_len
-        # Cold read anywhere on the volume.
-        lpn = pick % device_span
-        return lpn, max(1, fallback_size)
+    Large write ``j`` sees the last ``held = min(j, recent_large_window)``
+    large writes before it.  If it drew a rewrite and ``held > 0``, it
+    copies the extent of large write ``j - held + pick % held``.
+    Otherwise it takes its stream's cursor, or the region start when
+    the extent would overrun the region, and advances the cursor past
+    itself.
+    """
+    base = cfg.hot_span_pages
+    end = base + cfg.large_span_pages
+    order = np.arange(len(size))
+    held = np.minimum(order, cfg.recent_large_window)
+    copied = np.where(
+        rewrite & (held > 0), order - held + pick % np.maximum(held, 1), -1
+    )
+    lpns: List[int] = []
+    sizes: List[int] = []
+    for src, s, z in zip(copied.tolist(), stream.tolist(), size.tolist()):
+        if src >= 0:
+            lpn, z = lpns[src], sizes[src]
+        else:
+            lpn = cursors[s]
+            if lpn + z > end:
+                lpn = base
+            cursors[s] = lpn + z
+        lpns.append(lpn)
+        sizes.append(z)
+    return lpns, sizes
+
+
+def _read_extents(
+    cfg: SyntheticConfig,
+    small: np.ndarray,
+    large: np.ndarray,
+    reads: np.ndarray,
+    lpn: np.ndarray,
+    npages: np.ndarray,
+    recent: np.ndarray,
+    prefer_small: np.ndarray,
+    u_frac: np.ndarray,
+    pick: np.ndarray,
+    cold_size: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """LPN and size of each read, given the resolved writes.
+
+    ``small``, ``large`` and ``reads`` are the trace positions of the
+    small writes, the large writes and the reads; ``lpn``/``npages``
+    already hold both write classes.  A read sees each window as it
+    stood before it: of the ``before`` writes of a class that precede
+    it, the window holds the last ``held = min(before, window)``, and
+    the read takes entry ``pick % held`` of them.
+    """
+    small_before = np.searchsorted(small, reads)
+    large_before = np.searchsorted(large, reads)
+    small_held = np.minimum(small_before, cfg.recent_small_window)
+    large_held = np.minimum(large_before, cfg.recent_large_window)
+    from_small = recent & (small_held > 0) & (prefer_small | (large_held == 0))
+    from_large = recent & ~from_small & (large_held > 0)
+
+    # Cold read anywhere on the volume (geometric sizes are >= 1).
+    out_lpn = pick % (cfg.hot_span_pages + cfg.large_span_pages)
+    out_npages = cold_size
+
+    # A recent small-write extent, or one page of it: siblings stay
+    # cold until a later read (exercises delta's protection).
+    held, p = small_held[from_small], pick[from_small]
+    src = small[small_before[from_small] - held + p % held]
+    ext_lpn, ext_npages = lpn[src], npages[src]
+    one_page = (ext_npages > 1) & (u_frac[from_small] < cfg.small_partial_read_prob)
+    out_lpn[from_small] = np.where(one_page, ext_lpn + p % ext_npages, ext_lpn)
+    out_npages[from_small] = np.where(one_page, 1, ext_npages)
+
+    # Partial re-read of a recent large extent: this is what drives
+    # Req-block's split-to-DRL machinery.
+    held, p = large_held[from_large], pick[from_large]
+    src = large[large_before[from_large] - held + p % held]
+    ext_lpn, ext_npages = lpn[src], npages[src]
+    longest = np.minimum(ext_npages, cfg.small_size_max + 1)
+    sub_len = np.maximum(1, (u_frac[from_large] * longest).astype(np.int64))
+    out_lpn[from_large] = ext_lpn + p % np.maximum(1, ext_npages - sub_len + 1)
+    out_npages[from_large] = sub_len
+    return out_lpn, out_npages
 
 
 def generate_trace(config: SyntheticConfig) -> Trace:

@@ -184,13 +184,17 @@ def get_config(name: str, scale: float = DEFAULT_SCALE) -> SyntheticConfig:
 
 
 @lru_cache(maxsize=32)
-def _cached_trace(name: str, scale: float) -> Trace:
-    return generate_trace(get_config(name, scale))
+def _cached_trace(config: SyntheticConfig) -> Trace:
+    return generate_trace(config)
 
 
 def get_workload(name: str, scale: float = DEFAULT_SCALE) -> Trace:
-    """Generate (and memoise) a named paper workload at ``scale``."""
-    return _cached_trace(name, scale)
+    """Generate (and memoise) a named paper workload at ``scale``.
+
+    The memo is keyed on the whole scaled config, so a workload
+    re-tuned in ``PAPER_WORKLOADS`` is generated afresh.
+    """
+    return _cached_trace(get_config(name, scale))
 
 
 def scaled_cache_bytes(paper_mb: int, scale: float = DEFAULT_SCALE) -> int:

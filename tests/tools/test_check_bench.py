@@ -115,3 +115,30 @@ def test_bad_tolerance_rejected(tmp_path):
         check_bench.main(
             ["--baseline", str(tmp_path), "--fresh", str(fresh), "--tolerance", "1.5"]
         )
+
+
+def test_generate_time_reported_not_gated(tmp_path, capsys):
+    """Synthesis time is printed as a ratio; even a 10x rise passes."""
+    base = dict(_doc(BASE), trace_generate_s=0.05)
+    fresh = dict(_doc(BASE), trace_generate_s=0.5)
+    assert _run(tmp_path, base, fresh) == 0
+    out = capsys.readouterr().out
+    assert "trace_generate_s: baseline 0.0500 s, fresh 0.5000 s, 10.00x" in out
+    assert "not gated" in out
+
+
+@pytest.mark.parametrize("side", ["baseline", "fresh", "both"])
+def test_generate_time_absent_prints_nothing(tmp_path, capsys, side):
+    """Older BENCH files lack the field: no line, same verdict."""
+    timed = dict(_doc(BASE), trace_generate_s=0.05)
+    base = _doc(BASE) if side in ("baseline", "both") else timed
+    fresh = _doc(BASE) if side in ("fresh", "both") else timed
+    assert _run(tmp_path, base, fresh) == 0
+    assert "trace_generate_s" not in capsys.readouterr().out
+
+
+def test_generate_time_does_not_mask_a_regression(tmp_path):
+    slowed = {k: v * 0.6 for k, v in BASE.items()}
+    base = dict(_doc(BASE), trace_generate_s=0.05)
+    fresh = dict(_doc(slowed), trace_generate_s=0.01)
+    assert _run(tmp_path, base, fresh) == 1

@@ -1,11 +1,14 @@
-"""Simulated time is a Python float on every trace source.
+"""Request fields are Python scalars on every trace source.
 
 Arrival times drive every resource-timeline comparison, FTL/GC update
 and metrics fold of a replay.  A ``numpy.float64`` clock gives the same
 IEEE-754 results but runs each of those operations as numpy scalar
 arithmetic and pickles through numpy's scalar reduce, so every source
 that builds requests from numpy columns converts them with ``tolist``
-first (CONTRIBUTING.md, "Simulated time").
+first (CONTRIBUTING.md, "Simulated time").  The same holds for the
+integer fields, with one more stake: the eviction digest formats LPNs
+with ``repr``, which a ``numpy.int64`` spells ``np.int64(5)`` under
+numpy 2, so one would change every digest.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import io
 import pytest
 
 from repro.traces.io import load_trace, save_trace
+from repro.traces.model import OpType
 from repro.traces.msr import parse_msr_csv
 from repro.traces.patterns import (
     mixed_pattern,
@@ -91,3 +95,24 @@ def test_request_times_are_python_floats(source, tmp_path):
     bad = [type(r.time).__name__ for r in requests if type(r.time) is not float]
     assert not bad, f"{source}: {len(bad)} requests timed as {bad[0]}"
 
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_request_addresses_are_python_ints(source, tmp_path):
+    requests = list(SOURCES[source](tmp_path))
+    assert requests, f"{source} produced no requests"
+    for field in ("lpn", "npages"):
+        bad = [
+            type(getattr(r, field)).__name__
+            for r in requests
+            if type(getattr(r, field)) is not int
+        ]
+        assert not bad, f"{source}: {len(bad)} requests carry a {bad[0]} {field}"
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_request_ops_are_op_types(source, tmp_path):
+    requests = list(SOURCES[source](tmp_path))
+    assert requests, f"{source} produced no requests"
+    bad = [type(r.op).__name__ for r in requests if type(r.op) is not OpType]
+    assert not bad, f"{source}: {len(bad)} requests carry a {bad[0]} op"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.traces.io import (
     trace_from_columns,
 )
 from repro.traces.model import IORequest, OpType, Trace
+from repro.traces.synthetic import generate_trace
 from tests.conftest import R, W, make_trace
 
 #: A format-version-1 file from the per-element ``save_trace`` that
@@ -160,6 +162,36 @@ class TestCachedWorkload:
         b = cached_workload("ts_0", 1 / 512, cache_dir=tmp_path)
         assert len(a) == len(b)
         assert all(x == y for x, y in zip(a, b))
+
+    def test_key_covers_the_whole_config(self, tmp_path, monkeypatch):
+        """Re-seeding a workload must not load the trace of the old seed."""
+        from repro.traces import workloads
+
+        old = cached_workload("ts_0", 1 / 512, cache_dir=tmp_path)
+        reseeded = replace(workloads.PAPER_WORKLOADS["ts_0"], seed=4242)
+        monkeypatch.setitem(workloads.PAPER_WORKLOADS, "ts_0", reseeded)
+        new = cached_workload("ts_0", 1 / 512, cache_dir=tmp_path)
+        assert new.requests != old.requests
+        assert new.requests == generate_trace(reseeded.scaled(1 / 512)).requests
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+        # Each file is found again under its own config.
+        assert cached_workload("ts_0", 1 / 512, cache_dir=tmp_path).requests == (
+            new.requests
+        )
+        monkeypatch.undo()
+        assert cached_workload("ts_0", 1 / 512, cache_dir=tmp_path).requests == (
+            old.requests
+        )
+
+    def test_old_file_names_are_ignored(self, tmp_path):
+        """A file named as before the key covered the config is not read."""
+        from repro.traces.workloads import get_config
+
+        cfg = get_config("ts_0", 1 / 512)
+        stale = tmp_path / f"ts_0-s{1 / 512:.8f}-n{cfg.n_requests}.npz"
+        save_trace(Trace("stale", [W(0, 1)]), stale)
+        trace = cached_workload("ts_0", 1 / 512, cache_dir=tmp_path)
+        assert len(trace) == cfg.n_requests
 
     def test_matches_direct_generation(self, tmp_path):
         from repro.traces.workloads import get_workload

@@ -38,6 +38,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg(write_ratio=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Divided by in generation (0), or zeroes every gap (< 0).
+            ("target_pages_per_ms", 0),
+            ("target_pages_per_ms", -1.0),
+            ("recent_small_window", -1),
+            ("recent_large_window", -1),
+            # Would make the burst-end probability 1/mean exceed 1.
+            ("mean_burst_len", 0.5),
+            ("small_partial_read_prob", 1.5),
+            ("small_partial_read_prob", -0.1),
+        ],
+    )
+    def test_rejects_bad_field_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target_pages_per_ms", None),
+            ("recent_small_window", 0),
+            ("recent_large_window", 0),
+            ("mean_burst_len", 1.0),
+            ("small_partial_read_prob", 0.0),
+            ("small_partial_read_prob", 1.0),
+        ],
+    )
+    def test_accepts_boundary_values(self, field, value):
+        assert len(generate_trace(cfg(n_requests=200, **{field: value}))) == 200
+
     def test_mean_write_pages(self):
         c = cfg(small_write_fraction=0.5, small_size_mean=2.0, large_size_mean=10.0)
         assert c.mean_write_pages == pytest.approx(6.0)

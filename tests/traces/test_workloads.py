@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.paper_reference import TABLE2
 from repro.traces.stats import characterize
+from repro.traces.synthetic import generate_trace
 from repro.traces.workloads import (
     DEFAULT_SCALE,
     PAPER_WORKLOADS,
@@ -65,6 +68,15 @@ class TestGeneratedTraces:
         a = get_workload("hm_1", SMALL_SCALE)
         b = get_workload("hm_1", SMALL_SCALE / 2)
         assert len(a) != len(b)
+
+    def test_memo_follows_a_retuned_config(self, monkeypatch):
+        """Re-seeding a workload must not return the old seed's trace."""
+        old = get_workload("hm_1", SMALL_SCALE)
+        reseeded = replace(PAPER_WORKLOADS["hm_1"], seed=4242)
+        monkeypatch.setitem(PAPER_WORKLOADS, "hm_1", reseeded)
+        new = get_workload("hm_1", SMALL_SCALE)
+        assert new.requests != old.requests
+        assert new.requests == generate_trace(reseeded.scaled(SMALL_SCALE)).requests
 
 
 class TestScaledCache:

@@ -15,6 +15,10 @@ the fast-path optimisations (which are each worth 1.4-1.8x, i.e. a
 30-45% drop when lost).  Tighten ``--tolerance`` only if baseline and
 fresh run come from the same machine class.
 
+When both files record ``trace_generate_s`` (trace synthesis time),
+its fresh/baseline ratio is printed for the record; it never fails the
+check.
+
 Exit codes: 0 = within tolerance, 1 = regression (or malformed/missing
 policy data), 2 = no baseline found / unreadable input.
 
@@ -96,6 +100,18 @@ def compare(baseline: Dict, fresh: Dict, tolerance: float) -> List[str]:
     return failures
 
 
+def report_generate_time(baseline: Dict, fresh: Dict) -> None:
+    """Print the synthesis-time ratio when both results carry it."""
+    base_val = baseline.get("trace_generate_s")
+    fresh_val = fresh.get("trace_generate_s")
+    if not all(isinstance(v, (int, float)) and v > 0 for v in (base_val, fresh_val)):
+        return
+    print(
+        f"trace_generate_s: baseline {base_val:.4f} s, fresh {fresh_val:.4f} s, "
+        f"{fresh_val / base_val:.2f}x (information only, not gated)"
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -131,7 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"baseline: {baseline_path}")
     print(f"fresh:    {args.fresh}")
-    failures = compare(load(baseline_path), fresh, args.tolerance)
+    baseline = load(baseline_path)
+    failures = compare(baseline, fresh, args.tolerance)
+    report_generate_time(baseline, fresh)
     if failures:
         print("\nFAIL:")
         for f in failures:

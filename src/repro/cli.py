@@ -24,6 +24,7 @@ import importlib
 import json
 import os
 import sys
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.registry import PAPER_COMPARISON, available_policies
@@ -37,7 +38,8 @@ from repro.experiments.common import (
     worker_env_error,
 )
 from repro.faults.profile import FAULT_PROFILES
-from repro.sim.supervisor import EXIT_SALVAGED, SupervisorReport
+from repro.sim.progress import ProgressPrinter, clear_frame_sink, set_frame_sink
+from repro.sim.supervisor import EXIT_SALVAGED, SupervisorReport, run_shards
 from repro.sim.replay import ReplayConfig, replay_closed_loop, replay_trace
 from repro.sim.report import format_table
 from repro.traces.model import Trace
@@ -328,7 +330,6 @@ def _replay_sharded_cmd(
         )
         return 2
     from repro.sim.parallel import replay_sharded
-    from repro.sim.progress import make_progress_printer
 
     config = ReplayConfig(
         policy=args.policy,
@@ -344,11 +345,6 @@ def _replay_sharded_cmd(
     if jobs is None:
         return 2
     n_shards = args.shards if args.shards is not None else jobs
-    telemetry = None
-    if args.live:
-        from repro.sim.telemetry import LiveTelemetry
-
-        telemetry = LiveTelemetry()
     dumps: List[Dict[str, Any]] = []
     metrics = replay_sharded(
         trace,
@@ -358,9 +354,8 @@ def _replay_sharded_cmd(
         supervision=supervision_from_args(args),
         checkpoint_path=args.resume or args.checkpoint,
         resume=args.resume is not None,
-        progress=make_progress_printer() if args.progress else None,
+        progress=ProgressPrinter() if args.progress else None,
         flight=args.flight_recorder,
-        telemetry=telemetry,
         flightdumps=dumps,
     )
     _ledger_attach(
@@ -459,12 +454,6 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
         from repro.obs.flight import FlightRecorder
 
         flight_recorder = FlightRecorder()
-    if args.live:
-        # Serial runs render live frames in-process: the LiveTelemetry
-        # aggregator doubles as the ambient frame sink.
-        from repro.sim.telemetry import LiveTelemetry, set_frame_sink
-
-        set_frame_sink(LiveTelemetry())
     config = ReplayConfig(
         policy=args.policy,
         cache_bytes=cache_bytes,
@@ -482,6 +471,10 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
         tenants=tenant_map,
         tenant_weights=tenant_weights,
     )
+    if args.progress:
+        # A serial run prints its live frames in-process: the printer
+        # is the ambient frame sink.
+        set_frame_sink(ProgressPrinter())
     try:
         if args.queue_depth is not None:
             metrics = replay_closed_loop(trace, config, queue_depth=args.queue_depth)
@@ -490,9 +483,7 @@ def _cmd_replay_inner(args: argparse.Namespace) -> int:
     finally:
         if tracer is not None:
             tracer.close()
-        if args.live:
-            from repro.sim.telemetry import clear_frame_sink
-
+        if args.progress:
             clear_frame_sink()
     _ledger_attach(
         args,
@@ -602,12 +593,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cache_bytes = scaled_cache_bytes(args.cache_mb, args.scale)
     rows = []
     report = SupervisorReport()
+    progress = ProgressPrinter() if args.progress else None
     if args.jobs is not None and not args.profile:
         # One sweep cell per policy; each worker's replay is
         # bit-identical to the serial loop below (workers reload the
         # workload by name / MSR path — and rebuild tenant populations
         # by value — so jobs ship as plain values).
-        from repro.sim.progress import make_progress_printer
         from repro.sim.sweep import SweepJob, run_jobs
 
         all_metrics = run_jobs(
@@ -628,24 +619,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             supervision=supervision_from_args(args),
             checkpoint_path=args.resume or args.checkpoint,
             resume=args.resume is not None,
-            progress=make_progress_printer() if args.progress else None,
+            progress=progress,
             report=report,
         )
     else:
-        all_metrics = [
-            replay_trace(
-                trace,
-                ReplayConfig(
-                    policy=policy,
-                    cache_bytes=cache_bytes,
-                    profile=args.profile,
-                    tenancy=args.tenancy,
-                    tenants=tenant_map,
-                    tenant_weights=tenant_weights,
-                ),
+        configs = [
+            ReplayConfig(
+                policy=policy,
+                cache_bytes=cache_bytes,
+                profile=args.profile,
+                tenancy=args.tenancy,
+                tenants=tenant_map,
+                tenant_weights=tenant_weights,
             )
             for policy in args.policies
         ]
+        # Inline, in this process: the executor only tags each replay's
+        # live frames with its policy's index and reports completions.
+        all_metrics = run_shards(
+            partial(replay_trace, trace), configs, jobs=1, progress=progress
+        ).results
     _ledger_attach(
         args,
         config={
@@ -1045,20 +1038,6 @@ def _add_ledger_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_flight_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--flight-recorder", action="store_true",
-        help="keep the last events in a bounded ring buffer and dump "
-             "them (flightdump.json) on abort, degraded-mode entry, or "
-             "shard-worker death (see docs/flight_recorder.md)",
-    )
-    p.add_argument(
-        "--live", action="store_true",
-        help="print live per-shard progress frames (req/s, hit rate, "
-             "GC count) to stderr while the replay runs",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the reqblock-sim argument parser (all subcommands)."""
     parser = argparse.ArgumentParser(
@@ -1127,7 +1106,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tenant_args(p)
     _add_metrics_args(p)
     add_resilience_args(p)
-    _add_flight_args(p)
+    p.add_argument(
+        "--flight-recorder", action="store_true",
+        help="keep the last events in a bounded ring buffer and dump "
+             "them (flightdump.json) on abort, degraded-mode entry, or "
+             "shard-worker death (see docs/flight_recorder.md)",
+    )
     _add_ledger_args(p)
     p.set_defaults(func=_cmd_replay)
 

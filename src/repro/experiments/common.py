@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.metrics import ReplayMetrics
 from repro.sim.parallel import JOBS_ENV, env_count
-from repro.sim.progress import make_progress_printer
+from repro.sim.progress import ProgressPrinter
 from repro.sim.supervisor import Supervision, SupervisorReport
 from repro.sim.sweep import SWEEP_PROCESSES_ENV, SweepJob, run_jobs
 from repro.traces.model import PAGE_SIZE_BYTES
@@ -106,7 +106,7 @@ class ExperimentSettings:
             supervision=self.supervision,
             checkpoint_path=self.checkpoint_path,
             resume=self.resume,
-            progress=make_progress_printer() if self.progress else None,
+            progress=ProgressPrinter() if self.progress else None,
             report=self.report,
         )
         out: List[ReplayMetrics] = []
@@ -262,7 +262,8 @@ def add_resilience_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--progress",
         action="store_true",
-        help="print one line per shard completion/retry with an ETA",
+        help="print per-shard progress to stderr: a line per shard "
+        "completion/retry with an ETA, and live request/hit-ratio/GC lines",
     )
 
 

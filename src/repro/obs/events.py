@@ -49,9 +49,6 @@ __all__ = [
     "PowerLoss",
     "RecoveryComplete",
     "DegradedModeEntered",
-    "ShardRetry",
-    "ShardTimeout",
-    "ShardSalvage",
     "Event",
     "EVENT_KINDS",
     "event_to_dict",
@@ -247,47 +244,6 @@ class DegradedModeEntered:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class ShardRetry:
-    """The shard supervisor rescheduled a failed shard attempt.
-
-    Harness-level event (``time`` is wall-clock seconds since the
-    fan-out started, not simulation time): the run itself, not the
-    simulated device, hit trouble and recovered.
-    """
-
-    kind: ClassVar[str] = "shard_retry"
-    time: float
-    shard: int
-    attempt: int
-    reason: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class ShardTimeout:
-    """The supervisor's watchdog killed a shard attempt that overran
-    its wall-clock budget (harness-level; ``time`` as in
-    :class:`ShardRetry`)."""
-
-    kind: ClassVar[str] = "shard_timeout"
-    time: float
-    shard: int
-    attempt: int
-    timeout_s: float
-
-
-@dataclass(frozen=True, slots=True)
-class ShardSalvage:
-    """A supervised run finished without some shards: their retries were
-    exhausted and the surviving results were merged as a degraded
-    (salvaged) outcome."""
-
-    kind: ClassVar[str] = "shard_salvage"
-    time: float
-    shards_failed: Tuple[int, ...]
-    coverage: float
-
-
 Event = Union[
     CacheHit,
     CacheMiss,
@@ -305,9 +261,6 @@ Event = Union[
     PowerLoss,
     RecoveryComplete,
     DegradedModeEntered,
-    ShardRetry,
-    ShardTimeout,
-    ShardSalvage,
 ]
 
 #: kind string -> event class, for consumers parsing JSONL streams.
@@ -330,10 +283,7 @@ EVENT_KINDS: Dict[str, type] = {
         PowerLoss,
         RecoveryComplete,
         DegradedModeEntered,
-        ShardRetry,
-        ShardTimeout,
-        ShardSalvage,
-    )
+                )
 }
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from multiprocessing import get_all_start_methods
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -283,10 +283,7 @@ def replay_sharded(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
-    metrics: Optional[Any] = None,
-    tracer: Optional[Any] = None,
     flight: bool = False,
-    telemetry: Optional[Callable[[Any], None]] = None,
     flightdumps: Optional[List[Any]] = None,
 ) -> ReplayMetrics:
     """Replay one trace as independent segments and merge the metrics.
@@ -308,11 +305,11 @@ def replay_sharded(
 
     The fan-out runs on :func:`repro.sim.supervisor.run_shards`, and
     ``supervision`` / ``checkpoint_path`` / ``resume`` / ``progress`` /
-    ``metrics`` / ``tracer`` / ``flight`` / ``telemetry`` pass through
-    to it (retry, watchdog timeouts, crash-safe checkpointing, salvage,
-    per-attempt flight recorders, live progress frames).  A salvaged
-    run merges the surviving segments only and reports the damage on
-    the merged metrics' :class:`~repro.faults.report.DurabilityReport`
+    ``flight`` pass through to it (retry, watchdog timeouts, crash-safe
+    checkpointing, salvage, lifecycle and live progress frames,
+    per-attempt flight recorders).  A salvaged run merges the surviving
+    segments only and reports the damage on the merged metrics'
+    :class:`~repro.faults.report.DurabilityReport`
     (``shards_failed``, ``shard_coverage``); a clean supervised run —
     including one resumed from a journal — merges byte-identically to
     a plain one.  Dumps shipped back by dying/aborted shards are
@@ -341,10 +338,7 @@ def replay_sharded(
         checkpoint_path=checkpoint_path,
         resume=resume,
         progress=progress,
-        metrics=metrics,
-        tracer=tracer,
         flight=flight,
-        telemetry=telemetry,
     )
     parts = [part for part in outcome.results if part is not None]
     if flightdumps is not None:

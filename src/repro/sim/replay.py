@@ -3,8 +3,8 @@
 The central experimental harness.  Three public drivers share one
 private replay loop, ``_replay``: it builds the policy and every
 configured observer (tracer, invariant checker, flight recorder, metrics
-sampler, tenant accountant, eviction digest, list log, telemetry,
-profiler), folds every request's :class:`~repro.ssd.controller.RequestRecord`
+sampler, tenant accountant, eviction digest, list log, live progress
+frames, profiler), folds every request's :class:`~repro.ssd.controller.RequestRecord`
 into a :class:`~repro.sim.metrics.ReplayMetrics` (``FOLD_CHUNK`` requests
 at a time), and finalises it.  The drivers differ only in how one
 request is serviced:
@@ -48,7 +48,7 @@ from repro.obs.metrics import DEFAULT_SAMPLE_INTERVAL, MetricsRegistry, Sampler
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.tracer import TeeTracer, Tracer
 from repro.sim.metrics import MetricsRecorder, ReplayMetrics, fold_eviction_digest
-from repro.sim.telemetry import make_emitter
+from repro.sim.progress import make_emitter
 from repro.sim.tenant import TENANCY_MODES, TenantAccountant
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import RequestRecord, SSDController, _tuple_new
@@ -72,8 +72,8 @@ METADATA_SAMPLE_INTERVAL = 256
 
 #: How often (in requests) the replay folds its pending records into
 #: the metrics and the eviction digest.  It divides
-#: ``METADATA_SAMPLE_INTERVAL``, so the telemetry read there sees every
-#: request before it.  A chunk's outcomes stay alive until it is folded,
+#: ``METADATA_SAMPLE_INTERVAL``, so the live progress frame taken there
+#: sees every request before it.  A chunk's outcomes stay alive until it is folded,
 #: and 64 keeps them under the cyclic collector's generation-0
 #: threshold (700 net container allocations), which 256 passed.
 FOLD_CHUNK = 64

@@ -63,17 +63,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.obs.events import ShardRetry, ShardSalvage, ShardTimeout
 from repro.obs.flight import FlightRecorder, activate, deactivate
+from repro.sim import progress as frames
 from repro.sim.checkpoint import CheckpointJournal, payload_digest, run_key
-from repro.sim.telemetry import (
-    DEFAULT_FRAME_INTERVAL_S,
-    TelemetryFrame,
-    clear_frame_sink,
-    set_frame_sink,
-)
 from repro.sim.parallel import ShardError, resolve_jobs, resolve_start_method
-from repro.sim.progress import EtaTracker, ProgressCallback
 
 __all__ = [
     "EXIT_SALVAGED",
@@ -274,7 +267,7 @@ def _attempt(
     index: int,
     payload: Any,
     flight: bool,
-    telemetry_interval: Optional[float],
+    frame_interval: Optional[float],
 ) -> bool:
     """Run one shard attempt in a worker and report it over ``conn``.
 
@@ -284,20 +277,20 @@ def _attempt(
     :class:`_ShardTerminated`, so a reaped attempt unwinds through the
     replay's dump path and ships its last events back as a
     ``("flightdump", dump)`` message before the worker dies.  With
-    ``telemetry_interval`` set a frame sink tagged with the shard index
-    forwards :class:`TelemetryFrame` progress readings as ``("frame",
-    frame)`` messages.  A result that fails to pickle is reported as a
-    failure rather than dying silently.
+    ``frame_interval`` set a frame sink tagged with the shard index
+    forwards live :class:`~repro.sim.progress.ProgressFrame` readings as
+    ``("frame", frame)`` messages.  A result that fails to pickle is
+    reported as a failure rather than dying silently.
     """
     recorder: Optional[FlightRecorder] = None
     if flight:
         recorder = activate(FlightRecorder())
         signal.signal(signal.SIGTERM, _raise_terminated)
-    if telemetry_interval is not None:
-        set_frame_sink(
+    if frame_interval is not None:
+        frames.set_frame_sink(
             lambda frame: _send_quiet(conn, ("frame", frame)),
             shard=index,
-            interval_s=telemetry_interval,
+            interval_s=frame_interval,
         )
     try:
         result = worker(payload)
@@ -320,8 +313,8 @@ def _attempt(
             _send_quiet(conn, ("flightdump", dump))
         _send_quiet(conn, ("failed", traceback.format_exc()))
     finally:
-        if telemetry_interval is not None:
-            clear_frame_sink()
+        if frame_interval is not None:
+            frames.clear_frame_sink()
         if recorder is not None:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             deactivate()
@@ -333,7 +326,7 @@ def _serve(
     worker: Callable[[Any], Any],
     payloads: Optional[List[Any]],
     flight: bool,
-    telemetry_interval: Optional[float],
+    frame_interval: Optional[float],
 ) -> None:
     """Worker process body: run attempts until told to stop or one fails.
 
@@ -352,7 +345,7 @@ def _serve(
         if task is None:
             return
         index, payload = task if payloads is None else (task, payloads[task])
-        if not _attempt(conn, worker, index, payload, flight, telemetry_interval):
+        if not _attempt(conn, worker, index, payload, flight, frame_interval):
             return
 
 
@@ -422,11 +415,8 @@ def run_shards(
     supervision: Optional[Supervision] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    metrics: Optional[Any] = None,
-    tracer: Optional[Any] = None,
+    progress: Optional[frames.ProgressCallback] = None,
     flight: bool = False,
-    telemetry: Optional[Callable[[TelemetryFrame], None]] = None,
 ) -> SupervisedOutcome:
     """Run ``worker`` over ``payloads``; ``outcome.results`` in payload
     order.
@@ -435,28 +425,25 @@ def run_shards(
     be picklable (a module-level function and by-value job specs, as in
     :mod:`repro.sim.sweep`); forked workers inherit both.  With
     ``jobs=1`` and none of ``supervision``, ``checkpoint_path``,
-    ``resume``, ``flight`` and ``telemetry`` set, the payloads run
-    inline, in order, with exceptions propagating raw.  Otherwise at
-    most ``jobs`` worker processes serve the shards.
+    ``resume`` and ``flight`` set, the payloads run inline, in order,
+    with exceptions propagating raw.  Otherwise at most ``jobs`` worker
+    processes serve the shards.
 
     ``supervision`` sets retries, the watchdog and salvage (None: no
     retry, no watchdog, fail-fast).  ``checkpoint_path`` attaches a
     crash-safe journal; with ``resume`` an existing journal's completed
     shards are loaded instead of re-run (a missing file just starts
-    fresh).  ``progress`` receives one
-    :class:`~repro.sim.progress.ProgressEvent` per shard state change.
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
-    receives ``shards.*_total`` counters; ``tracer`` receives
-    :class:`~repro.obs.events.ShardRetry` /
-    :class:`~repro.obs.events.ShardTimeout` /
-    :class:`~repro.obs.events.ShardSalvage` events.
+    fresh).  ``progress`` receives every
+    :class:`~repro.sim.progress.ProgressFrame` of the run: one
+    lifecycle frame per shard state change, and the live frames of the
+    replay loops, tagged with the payload index.  Worker frames cross
+    the pipe; an inline run installs ``progress`` itself as each
+    payload's frame sink, so asking for progress starts no process.
 
     ``flight`` activates a :class:`~repro.obs.flight.FlightRecorder`
     for every attempt; a dying, timed-out, or aborted attempt ships its
     dump back, collected in ``outcome.flightdumps`` keyed by shard
-    index.  ``telemetry`` (a callable taking
-    :class:`~repro.sim.telemetry.TelemetryFrame`) turns on live
-    progress frames from the replay loops inside workers.
+    index.
 
     Raises :class:`~repro.sim.parallel.ShardError` when a shard
     exhausts its retries and ``salvage`` is off; with ``salvage`` on it
@@ -468,17 +455,6 @@ def run_shards(
     outcome = SupervisedOutcome(results=[None] * n)
     if n == 0:
         return outcome
-
-    counters = None
-    if metrics is not None:
-        counters = {
-            "completed": metrics.counter("shards.completed_total"),
-            "retried": metrics.counter("shards.retried_total"),
-            "timeout": metrics.counter("shards.timeout_total"),
-            "failed": metrics.counter("shards.failed_total"),
-            "resumed": metrics.counter("shards.resumed_total"),
-        }
-    emit = tracer is not None and getattr(tracer, "enabled", False)
 
     # -- checkpoint journal ------------------------------------------------
     journal: Optional[CheckpointJournal] = None
@@ -494,15 +470,17 @@ def run_shards(
         else:
             journal = CheckpointJournal.create(checkpoint_path, key, n)
 
-    tracker = EtaTracker(n)
+    tracker = frames.EtaTracker(n)
+
+    def _report(kind: str, index: int, attempt: int, detail: str = "") -> None:
+        if progress:
+            progress(tracker.frame(kind, index, attempt, detail))
+
     for index in sorted(completed):
         outcome.results[index] = completed[index]
         outcome.resumed += 1
-        tracker.mark_done()
-        if counters:
-            counters["resumed"].inc()
-        if progress:
-            progress(tracker.event("resumed", index, 0))
+        tracker.mark_done(resumed=True)
+        _report("resumed", index, 0)
 
     # First attempts are ready now: a real clock reading, since the
     # monotonic clock's origin is arbitrary.
@@ -520,10 +498,7 @@ def run_shards(
         tracker.mark_done()
         if journal is not None:
             journal.append(att.index, digests[att.index], value)
-        if counters:
-            counters["completed"].inc()
-        if progress:
-            progress(tracker.event("done", att.index, att.attempt))
+        _report("done", att.index, att.attempt)
 
     def _fail_or_retry(att: _Attempt, detail: str) -> None:
         # A traceback's last line names the exception.
@@ -534,21 +509,8 @@ def run_shards(
                 _Attempt(att.index, att.attempt + 1, time.monotonic() + delay)
             )
             outcome.retries += 1
-            if counters:
-                counters["retried"].inc()
-            if emit:
-                tracer.emit(
-                    ShardRetry(
-                        tracker.elapsed_s(), att.index, att.attempt, last_line
-                    )
-                )
-            if progress:
-                progress(
-                    tracker.event("retry", att.index, att.attempt, last_line)
-                )
+            _report("retry", att.index, att.attempt, last_line)
             return
-        if counters:
-            counters["failed"].inc()
         if not sup.salvage:
             raise ShardError(att.index, payloads[att.index], detail)
         outcome.failures.append(
@@ -559,20 +521,28 @@ def run_shards(
                 detail=detail,
             )
         )
-        if progress:
-            progress(tracker.event("failed", att.index, att.attempt, last_line))
+        _report("failed", att.index, att.attempt, last_line)
 
+    # Read per call, and shipped to workers by value, so that a changed
+    # default reaches spawned workers too.
+    interval = frames.DEFAULT_FRAME_INTERVAL_S if progress else None
     if (
         width == 1
         and supervision is None
         and not checkpoint_path
         and not resume
         and not flight
-        and telemetry is None
     ):
         # The serial reference: in order, in this process, raw errors.
         for att in pending:
-            _complete(att, worker(payloads[att.index]))
+            if progress:
+                frames.set_frame_sink(progress, att.index, interval)
+            try:
+                value = worker(payloads[att.index])
+            finally:
+                if progress:
+                    frames.clear_frame_sink()
+            _complete(att, value)
         return outcome
 
     method = resolve_start_method(start_method)
@@ -580,7 +550,6 @@ def run_shards(
     # Forked workers inherit the payload list and take shard indices;
     # a spawned worker inherits nothing, so its tasks carry payloads.
     inherited = payloads if method == "fork" else None
-    interval = DEFAULT_FRAME_INTERVAL_S if telemetry is not None else None
     workers: Dict[Connection, _Worker] = {}
 
     def _start() -> _Worker:
@@ -633,9 +602,9 @@ def run_shards(
     def _stream(att: _Attempt, status: str, value: Any) -> bool:
         """Handle a message that leaves its attempt running."""
         if status == "frame":
-            if telemetry is not None:
+            if progress:
                 try:
-                    telemetry(value)
+                    progress(value)
                 except Exception:
                     pass
             return True
@@ -684,26 +653,12 @@ def run_shards(
         w.conn.close()
         outcome.timeouts += 1
         timeouts_by_index[att.index] = timeouts_by_index.get(att.index, 0) + 1
-        if counters:
-            counters["timeout"].inc()
-        if emit:
-            tracer.emit(
-                ShardTimeout(
-                    tracker.elapsed_s(),
-                    att.index,
-                    att.attempt,
-                    float(sup.shard_timeout or 0.0),
-                )
-            )
-        if progress:
-            progress(
-                tracker.event(
-                    "timeout",
-                    att.index,
-                    att.attempt,
-                    f"no result within {sup.shard_timeout:g}s",
-                )
-            )
+        _report(
+            "timeout",
+            att.index,
+            att.attempt,
+            f"no result within {sup.shard_timeout:g}s",
+        )
         _fail_or_retry(
             att,
             f"shard {att.index} timed out after "
@@ -751,11 +706,4 @@ def run_shards(
     finally:
         if journal is not None:
             journal.close()
-
-    if outcome.failures and emit:
-        tracer.emit(
-            ShardSalvage(
-                tracker.elapsed_s(), outcome.failed_indices, outcome.coverage
-            )
-        )
     return outcome

@@ -22,9 +22,6 @@ from repro.obs.events import (
     PowerLoss,
     ReadRetry,
     RecoveryComplete,
-    ShardRetry,
-    ShardSalvage,
-    ShardTimeout,
     Split,
     event_to_dict,
 )
@@ -54,9 +51,6 @@ ONE_OF_EACH = [
     PowerLoss(14.0, 40, 8, 32),
     RecoveryComplete(15.0, 50.0, 128, 120),
     DegradedModeEntered(16.0, 3, "plane 3: no free blocks"),
-    ShardRetry(17.0, 2, 1, "worker process died"),
-    ShardTimeout(18.0, 3, 2, 30.0),
-    ShardSalvage(19.0, (3, 5), 0.75),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Chaos suite for supervised flight dumps and live telemetry.
+"""Chaos suite for supervised flight dumps and live progress frames.
 
 The acceptance bar for the flight recorder is the unhappy path: a shard
 killed mid-replay must still ship its last events back over the
@@ -28,7 +28,7 @@ from repro.sim.supervisor import (
     Supervision,
     run_shards,
 )
-from repro.sim.telemetry import LiveTelemetry, make_emitter
+from repro.sim.progress import ProgressPrinter, make_emitter
 
 BOTH_START_METHODS = pytest.mark.parametrize(
     "start_method",
@@ -87,6 +87,11 @@ def _emit_frames(payload):
         for i in range(3):
             emitter.maybe_emit(i, hit_ratio=0.5, gc_erases=value)
     return value * value
+
+
+def _emit_frames_pid(payload):
+    _emit_frames(payload)
+    return os.getpid()
 
 
 def _payloads(tmp_path, n=3):
@@ -168,59 +173,80 @@ class TestSupervisedFlight:
 
 
 # ----------------------------------------------------------------------
-# Telemetry frames over the supervisor pipe
+# Live progress frames over the supervisor pipe
 # ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def every_frame(monkeypatch):
+    """No rate limit on live frames.  The interval is read per call and
+    crosses the pipe by value, so this reaches spawned workers too."""
+    import repro.sim.progress as progress_mod
+
+    monkeypatch.setattr(progress_mod, "DEFAULT_FRAME_INTERVAL_S", 0.0)
 
 
 class TestSupervisedTelemetry:
     @BOTH_START_METHODS
     def test_frames_reach_the_parent_callback(
-        self, tmp_path, start_method, monkeypatch
+        self, tmp_path, start_method, every_frame
     ):
-        # The interval crosses the pipe by value, so patching the
-        # parent-side default works under spawn too.
-        import repro.sim.supervisor as sup_mod
-
-        monkeypatch.setattr(sup_mod, "DEFAULT_FRAME_INTERVAL_S", 0.0)
         frames = []
         out = run_shards(
             _emit_frames,
             _payloads(tmp_path),
             jobs=2,
             start_method=start_method,
-            telemetry=frames.append,
+            progress=frames.append,
         )
         assert out.results == [0, 1, 4]
-        assert len(frames) == 9  # 3 shards x 3 frames
-        assert {f.shard for f in frames} == {0, 1, 2}
+        live = [f for f in frames if f.kind == "live"]
+        assert len(live) == 9  # 3 shards x 3 frames
+        assert {f.shard for f in live} == {0, 1, 2}
         # gc_erases carries the worker's payload value back: frames are
         # attributed to the right shard, not just counted.
-        assert all(f.gc_erases == f.shard for f in frames)
+        assert all(f.gc_erases == f.shard for f in live)
+        # One stream: the lifecycle frames arrive on the same callback,
+        # each after its shard's live frames.
+        assert [f.kind for f in frames].count("done") == 3
+        for f in live:
+            done_at = next(
+                i for i, g in enumerate(frames)
+                if g.kind == "done" and g.shard == f.shard
+            )
+            assert frames.index(f) < done_at
 
     @BOTH_START_METHODS
     def test_live_telemetry_renders_heartbeat(
-        self, tmp_path, start_method, monkeypatch, capsys
+        self, tmp_path, start_method, every_frame
     ):
         import io
 
-        import repro.sim.supervisor as sup_mod
-
-        monkeypatch.setattr(sup_mod, "DEFAULT_FRAME_INTERVAL_S", 0.0)
         stream = io.StringIO()
-        live = LiveTelemetry(stream=stream, heartbeat_s=0.0)
+        printer = ProgressPrinter(stream=stream, heartbeat_s=0.0)
         run_shards(
             _emit_frames,
             _payloads(tmp_path),
             jobs=2,
             start_method=start_method,
-            telemetry=live,
+            progress=printer,
         )
-        assert live.frames_seen == 9
-        assert "[live] shard" in stream.getvalue()
+        lines = stream.getvalue().splitlines()
+        assert any(line.startswith("[live] shard") for line in lines)
+        assert lines[-1].startswith("[shard 3/3] done")
+        # A finished shard's live line is never printed again.
+        for i, line in enumerate(lines):
+            if " done " in line:
+                shard = line.split("idx=")[1].split()[0]
+                later = lines[i + 1:]
+                assert not any(
+                    g.startswith(f"[live] shard {shard} ") for g in later
+                ), line
+        assert printer.latest == {}
 
     @BOTH_START_METHODS
     def test_no_telemetry_no_sink_in_workers(self, tmp_path, start_method):
-        # Without telemetry= the workers get no ambient sink, so
+        # Without progress= the workers get no ambient sink, so
         # make_emitter returns None and nothing crosses the pipe.
         out = run_shards(
             _emit_frames,
@@ -229,6 +255,27 @@ class TestSupervisedTelemetry:
             start_method=start_method,
         )
         assert out.results == [0, 1, 4]
+
+    def test_inline_run_delivers_frames_in_process(
+        self, tmp_path, every_frame, no_process_start
+    ):
+        """``jobs=1`` with nothing to supervise runs inline even with a
+        progress callback: it installs the callback as each payload's
+        frame sink, tagged with the payload index."""
+        frames = []
+        out = run_shards(
+            _emit_frames_pid,
+            _payloads(tmp_path),
+            jobs=1,
+            progress=frames.append,
+        )
+        assert out.results == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
+        live = [f for f in frames if f.kind == "live"]
+        assert [f.shard for f in live] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert all(f.gc_erases == f.shard for f in live)
+        assert [f.kind for f in frames] == (["live"] * 3 + ["done"]) * 3
+        assert make_emitter(100) is None  # the sink is gone again
 
 
 # ----------------------------------------------------------------------

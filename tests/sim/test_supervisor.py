@@ -19,8 +19,6 @@ import time
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import CountingTracer, JsonlTracer
 from repro.sim.parallel import ShardError, replay_sharded
 from repro.sim.parallel import _replay_segment as _real_replay_segment
 from repro.sim.replay import ReplayConfig
@@ -531,81 +529,24 @@ class TestReplayShardedResume:
 
 
 # ----------------------------------------------------------------------
-# Telemetry: counters, tracer events, progress callbacks
+# Progress: the lifecycle frames and their ETA
 # ----------------------------------------------------------------------
 
 
+def _crash_at_nine_then_slow(payload):
+    """First run: shards 0-8 finish at once and shard 9 crashes.  Once
+    the crash sentinel exists every shard takes 0.2 s."""
+    value, sentinel_dir = payload
+    sentinel = os.path.join(sentinel_dir, "crashed")
+    if os.path.exists(sentinel):
+        time.sleep(0.2)
+    elif value == 9:
+        open(sentinel, "w").close()
+        raise RuntimeError("synthetic mid-run crash")
+    return value * value
+
+
 class TestTelemetry:
-    def test_metrics_counters(self, tmp_path):
-        registry = MetricsRegistry()
-        sup = Supervision(max_retries=2, salvage=True, **FAST)
-        run_shards(
-            _poison,
-            _payloads(tmp_path, n=5),
-            jobs=2,
-            start_method="fork",
-            supervision=sup,
-            metrics=registry,
-        )
-        snap = registry.snapshot(0.0)
-        assert snap["shards.completed_total"] == 4
-        assert snap["shards.retried_total"] == 2
-        assert snap["shards.failed_total"] == 1
-        assert snap["shards.timeout_total"] == 0
-
-    def test_resumed_counter(self, tmp_path):
-        path = str(tmp_path / "run.ckpt")
-        run_shards(
-            _square, _payloads(tmp_path, n=3), jobs=1, checkpoint_path=path
-        )
-        registry = MetricsRegistry()
-        run_shards(
-            _square,
-            _payloads(tmp_path, n=3),
-            jobs=1,
-            checkpoint_path=path,
-            resume=True,
-            metrics=registry,
-        )
-        assert registry.snapshot(0.0)["shards.resumed_total"] == 3
-
-    def test_tracer_events(self, tmp_path):
-        tracer = CountingTracer()
-        sup = Supervision(
-            max_retries=1, shard_timeout=0.3, salvage=True, **FAST
-        )
-        run_shards(
-            _hang_always,
-            [(0, str(tmp_path)), (1, str(tmp_path))],
-            jobs=2,
-            start_method="fork",
-            supervision=sup,
-            tracer=tracer,
-        )
-        counts = tracer.counts
-        assert counts["shard_timeout"] == 2
-        assert counts["shard_retry"] == 1
-        assert counts["shard_salvage"] == 1
-
-    def test_jsonl_tracer_serialises_shard_events(self, tmp_path):
-        import json
-
-        out = tmp_path / "events.jsonl"
-        tracer = JsonlTracer(str(out))
-        sup = Supervision(max_retries=1, salvage=True, **FAST)
-        run_shards(
-            _poison,
-            _payloads(tmp_path, n=4),
-            jobs=2,
-            start_method="fork",
-            supervision=sup,
-            tracer=tracer,
-        )
-        tracer.close()
-        kinds = [json.loads(line)["kind"] for line in out.read_text().splitlines()]
-        assert "shard_retry" in kinds
-        assert "shard_salvage" in kinds
-
     def test_progress_event_stream(self, tmp_path):
         events = []
         sup = Supervision(max_retries=1, salvage=True, **FAST)
@@ -641,6 +582,38 @@ class TestTelemetry:
         )
         assert [e.kind for e in events] == ["resumed", "resumed"]
         assert events[-1].done == 2
+
+    def test_eta_counts_only_shards_completed_in_this_run(self, tmp_path):
+        """Resumed shards finished before the clock started: the ETA is
+        unknown until a shard completes here, then it extrapolates from
+        this run's completions only."""
+        path = str(tmp_path / "run.ckpt")
+        payloads = _payloads(tmp_path, n=12)
+        with pytest.raises(ShardError):
+            run_shards(
+                _crash_at_nine_then_slow,
+                payloads,
+                jobs=1,
+                checkpoint_path=path,
+                supervision=Supervision(max_retries=0, **FAST),
+            )
+        events = []
+        out = run_shards(
+            _crash_at_nine_then_slow,
+            payloads,
+            jobs=1,
+            checkpoint_path=path,
+            resume=True,
+            progress=events.append,
+        )
+        assert out.resumed == 9
+        resumed = [e for e in events if e.kind == "resumed"]
+        done = [e for e in events if e.kind == "done"]
+        assert len(resumed) == 9 and len(done) == 3
+        assert all(e.eta_s is None for e in resumed)
+        # One 0.2 s shard done, two left: at least ~0.4 s to go.
+        assert done[0].eta_s >= 0.36
+        assert done[-1].eta_s == 0.0
 
 
 # ----------------------------------------------------------------------

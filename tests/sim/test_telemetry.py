@@ -1,21 +1,26 @@
-"""Live telemetry: frames, rate limiting, replay integration."""
+"""Live progress frames: rate limiting, the ambient sink, the live
+lines of the printer, and replay integration.
+
+Shard lifecycle frames, the ETA and the printer's handling of both kinds
+together are covered in ``test_progress.py``.
+"""
 
 from __future__ import annotations
 
 import io
 from types import SimpleNamespace
 
-from repro.sim import replay_closed_loop, telemetry
-from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
-from repro.sim.telemetry import (
+from repro.sim import progress, replay_closed_loop
+from repro.sim.progress import (
     DEFAULT_FRAME_INTERVAL_S,
     FrameEmitter,
-    LiveTelemetry,
-    TelemetryFrame,
+    ProgressFrame,
+    ProgressPrinter,
     clear_frame_sink,
     make_emitter,
     set_frame_sink,
 )
+from repro.sim.replay import ReplayConfig, replay_cache_only, replay_trace
 from repro.traces.workloads import get_workload
 
 SCALE = 1 / 256
@@ -24,17 +29,17 @@ CACHE = 64 * 4096
 
 def _frame(shard=0, requests=500, total=1000, **kw):
     defaults = dict(
+        kind="live",
         shard=shard,
         phase="replay",
         requests=requests,
         total_requests=total,
-        req_per_s=100.0,
         hit_ratio=0.5,
         gc_erases=3,
         elapsed_s=5.0,
     )
     defaults.update(kw)
-    return TelemetryFrame(**defaults)
+    return ProgressFrame(**defaults)
 
 
 class TestFrame:
@@ -42,6 +47,10 @@ class TestFrame:
         assert _frame(requests=250, total=1000).fraction == 0.25
         assert _frame(requests=2000, total=1000).fraction == 1.0  # clamped
         assert _frame(requests=250, total=0).fraction == 0.0
+
+    def test_req_per_s(self):
+        assert _frame(requests=500, elapsed_s=5.0).req_per_s == 100.0
+        assert _frame(requests=500, elapsed_s=0.0).req_per_s == 0.0
 
 
 class TestFrameEmitter:
@@ -52,6 +61,7 @@ class TestFrameEmitter:
         assert em.maybe_emit(0, hit_ratio=0.5, gc_erases=0)
         assert em.maybe_emit(1, hit_ratio=0.6, gc_erases=2)
         assert [f.requests for f in frames] == [1, 2]
+        assert {f.kind for f in frames} == {"live"}
         assert frames[0].shard == 1
         assert frames[1].hit_ratio == 0.6
 
@@ -100,18 +110,20 @@ class TestAmbientSink:
 
 
 class TestLiveTelemetry:
+    """The printer's live lines."""
+
     def test_keeps_latest_frame_per_shard(self):
-        live = LiveTelemetry(stream=io.StringIO(), heartbeat_s=3600.0)
+        live = ProgressPrinter(stream=io.StringIO(), heartbeat_s=3600.0)
         live(_frame(shard=0, requests=100))
         live(_frame(shard=1, requests=200))
         live(_frame(shard=0, requests=300))
-        assert live.frames_seen == 3
+        assert sorted(live.latest) == [0, 1]
         assert live.latest[0].requests == 300
         assert live.latest[1].requests == 200
 
     def test_render_one_line_per_shard_sorted(self):
         stream = io.StringIO()
-        live = LiveTelemetry(stream=stream, heartbeat_s=3600.0)
+        live = ProgressPrinter(stream=stream, heartbeat_s=3600.0)
         live(_frame(shard=1))
         live(_frame(shard=0))
         stream.seek(0)
@@ -126,9 +138,9 @@ class TestLiveTelemetry:
         # A clock reading far below the heartbeat, as on a freshly
         # booted machine: the first frame must still print.
         clock = SimpleNamespace(monotonic=lambda: 5.0)
-        monkeypatch.setattr(telemetry, "time", clock)
+        monkeypatch.setattr(progress, "time", clock)
         stream = io.StringIO()
-        live = LiveTelemetry(stream=stream, heartbeat_s=3600.0)
+        live = ProgressPrinter(stream=stream, heartbeat_s=3600.0)
         for i in range(5):
             live(_frame(shard=0, requests=i))
         # First frame printed, the rest suppressed by the heartbeat.
@@ -138,11 +150,13 @@ class TestLiveTelemetry:
         assert len(stream.getvalue().splitlines()) == 2
 
     def test_format_with_and_without_total(self):
-        line = LiveTelemetry.format_frame(_frame(requests=500, total=1000))
+        line = ProgressPrinter.format_frame(_frame(requests=500, total=1000))
+        assert line.startswith("[live] shard 0 replay ")
         assert "500/1000 reqs (50%)" in line
+        assert "100 req/s" in line
         assert "hit 0.500" in line
         assert "gc 3" in line
-        line = LiveTelemetry.format_frame(_frame(requests=500, total=0))
+        line = ProgressPrinter.format_frame(_frame(requests=500, total=0))
         assert "500 reqs" in line
         assert "/" not in line.split("reqs")[0]
 
@@ -159,7 +173,7 @@ class TestReplayIntegration:
         finally:
             clear_frame_sink()
         assert frames
-        assert all(f.shard == 2 for f in frames)
+        assert all(f.kind == "live" and f.shard == 2 for f in frames)
         assert all(f.phase == "replay" for f in frames)
         last = frames[-1]
         assert last.total_requests == len(trace.requests)

@@ -459,6 +459,60 @@ class TestParallelCli:
             )
 
 
+@pytest.fixture
+def every_progress_line(monkeypatch):
+    """Live frames and live lines without their rate limits."""
+    monkeypatch.setattr("repro.sim.progress.DEFAULT_FRAME_INTERVAL_S", 0.0)
+    monkeypatch.setattr("repro.sim.progress.DEFAULT_HEARTBEAT_S", 0.0)
+
+
+class TestProgressCli:
+    """``--progress`` prints wherever it is accepted, and never changes
+    stdout."""
+
+    def _run(self, capsys, argv):
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--progress"]) == 0
+        shown = capsys.readouterr()
+        assert shown.out == plain.out
+        assert plain.err == ""
+        return shown.err.splitlines()
+
+    def test_serial_replay(self, capsys, every_progress_line, no_process_start):
+        err = self._run(
+            capsys, ["replay", "ts_0", "--scale", SCALE, "--policy", "lru"]
+        )
+        assert err and all(line.startswith("[live] shard 0 ") for line in err)
+
+    def test_serial_compare(self, capsys, every_progress_line, no_process_start):
+        err = self._run(
+            capsys,
+            ["compare", "ts_0", "--scale", SCALE,
+             "--policies", "lru", "reqblock"],
+        )
+        assert any(line.startswith("[live] shard 0 ") for line in err)
+        assert any(line.startswith("[live] shard 1 ") for line in err)
+        assert err[-1].startswith("[shard 2/2] done     idx=1 ")
+
+    def test_sharded_replay_drops_finished_shards(
+        self, capsys, every_progress_line
+    ):
+        err = self._run(
+            capsys,
+            ["replay", "ts_0", "--scale", SCALE, "--policy", "lru",
+             "--jobs", "2", "--shards", "4"],
+        )
+        assert any(line.startswith("[live] shard") for line in err)
+        assert err[-1].startswith("[shard 4/4] done")
+        finished = set()
+        for line in err:
+            if line.startswith("[shard"):
+                finished.add(line.split("idx=")[1].split()[0])
+            else:
+                assert line.split()[2] not in finished, line
+
+
 class TestMetricsHardening:
     """The ``metrics`` subcommand must never crash on odd series."""
 
